@@ -323,16 +323,8 @@ std::vector<SweepFailure> CrashExplorer::ExhaustiveSingleCrashSweep(uint64_t max
   if (!discovery.ok) {
     failures.push_back({CrashSchedule{}, discovery});
   }
-  std::vector<CrashSchedule> schedules;
-  for (const DiscoveredPoint& dp : discovery.discovered) {
-    const uint64_t cap =
-        max_hits_per_point == 0 ? dp.hits : std::min(dp.hits, max_hits_per_point);
-    for (uint64_t hit = 1; hit <= cap; ++hit) {
-      CrashSchedule schedule;
-      schedule.entries.push_back({dp.point, dp.site, hit, FailpointAction::kCrash, 0});
-      schedules.push_back(std::move(schedule));
-    }
-  }
+  const std::vector<CrashSchedule> schedules =
+      SingleCrashSchedules(discovery.discovered, max_hits_per_point);
   RunSchedules(schedules, &failures);
   if (runs != nullptr) {
     *runs = static_cast<int>(schedules.size());
@@ -372,19 +364,39 @@ std::vector<SweepFailure> CrashExplorer::RandomSweep(uint64_t rng_seed, int roun
   if (!discovery.ok) {
     failures.push_back({CrashSchedule{}, discovery});
   }
-  const std::vector<DiscoveredPoint> discovered = std::move(discovery.discovered);
-  if (discovered.empty()) {
-    if (runs != nullptr) {
-      *runs = 0;
-    }
-    return failures;
+  // Runs consume no sweep randomness, so pre-generating all schedules and
+  // fanning the runs out yields the draw sequence of a serial loop.
+  const std::vector<CrashSchedule> schedules =
+      RandomSchedules(discovery.discovered, rng_seed, rounds, max_faults);
+  RunSchedules(schedules, &failures);
+  if (runs != nullptr) {
+    *runs = static_cast<int>(schedules.size());
   }
-  // Schedule generation draws from the sweep Rng in round order; runs consume
-  // no sweep randomness, so pre-generating all schedules and fanning the runs
-  // out yields the exact draw sequence (and schedules) of the old serial
-  // interleaved loop.
-  Rng rng(rng_seed);
+  return failures;
+}
+
+std::vector<CrashSchedule> SingleCrashSchedules(const std::vector<DiscoveredPoint>& discovered,
+                                                uint64_t max_hits_per_point) {
   std::vector<CrashSchedule> schedules;
+  for (const DiscoveredPoint& dp : discovered) {
+    const uint64_t cap =
+        max_hits_per_point == 0 ? dp.hits : std::min(dp.hits, max_hits_per_point);
+    for (uint64_t hit = 1; hit <= cap; ++hit) {
+      CrashSchedule schedule;
+      schedule.entries.push_back({dp.point, dp.site, hit, FailpointAction::kCrash, 0});
+      schedules.push_back(std::move(schedule));
+    }
+  }
+  return schedules;
+}
+
+std::vector<CrashSchedule> RandomSchedules(const std::vector<DiscoveredPoint>& discovered,
+                                           uint64_t rng_seed, int rounds, int max_faults) {
+  std::vector<CrashSchedule> schedules;
+  if (discovered.empty()) {
+    return schedules;
+  }
+  Rng rng(rng_seed);
   for (int round = 0; round < rounds; ++round) {
     const int faults = 1 + static_cast<int>(rng.NextBounded(
                                static_cast<uint64_t>(std::max(1, max_faults))));
@@ -419,11 +431,7 @@ std::vector<SweepFailure> CrashExplorer::RandomSweep(uint64_t rng_seed, int roun
     }
     schedules.push_back(std::move(schedule));
   }
-  RunSchedules(schedules, &failures);
-  if (runs != nullptr) {
-    *runs = static_cast<int>(schedules.size());
-  }
-  return failures;
+  return schedules;
 }
 
 }  // namespace camelot

@@ -31,9 +31,11 @@
 //                               delay / error at random discovered points).
 //
 // Every failing run carries a one-line replay recipe:
-//   CAMELOT_SEED=<s> CAMELOT_PROTOCOL=<2pc|nbc> CAMELOT_SCHEDULE='<schedule>'
-// which the crash_schedule_test honors via those environment variables, and
-// determinism guarantees the rerun reproduces the identical event trace.
+//   CAMELOT_SEED=<s> CAMELOT_PROTOCOL=<2pc|2pc-unopt|2pc-int|nbc|paxos>
+//   [CAMELOT_F=<f>] CAMELOT_SCHEDULE='<schedule>'
+// (CAMELOT_F appears for paxos only) which the crash_schedule_test honors via
+// those environment variables, and determinism guarantees the rerun
+// reproduces the identical event trace.
 #ifndef SRC_HARNESS_CRASH_EXPLORER_H_
 #define SRC_HARNESS_CRASH_EXPLORER_H_
 
@@ -50,16 +52,12 @@ namespace camelot {
 struct ExplorerConfig {
   int site_count = 3;
   uint64_t seed = 1;
-  bool non_blocking = false;  // Commit protocol for the workload's transfers.
-  // Full four-variant selection (Optimized / Unoptimized / Intermediate /
-  // NonBlocking); when set it overrides non_blocking. Everything — workload,
-  // conformance prediction, replay recipe — goes through Options().
+  // Commit variant for the workload's transfers (Optimized 2PC when unset).
+  // Everything — workload, conformance prediction, replay recipe — goes
+  // through Options().
   std::optional<CommitOptions> variant;
 
-  CommitOptions Options() const {
-    return variant.value_or(non_blocking ? CommitOptions::NonBlocking()
-                                         : CommitOptions::Optimized());
-  }
+  CommitOptions Options() const { return variant.value_or(CommitOptions::Optimized()); }
   int transfers = 3;          // Serial transfers; transfer i moves amount from
                               // vault i%N to vault (i+1)%N, coordinated by 0.
   int64_t initial_balance = 1000;
@@ -91,6 +89,16 @@ struct SweepFailure {
   CrashSchedule schedule;
   RunResult result;
 };
+
+// The schedules ExhaustiveSingleCrashSweep runs: one crash at every
+// discovered (point, site, hit <= max_hits_per_point; 0 = every hit).
+std::vector<CrashSchedule> SingleCrashSchedules(const std::vector<DiscoveredPoint>& discovered,
+                                                uint64_t max_hits_per_point);
+
+// The schedules RandomSweep runs: `rounds` schedules of 1..max_faults entries
+// drawn from `discovered` by an Rng seeded with `rng_seed`.
+std::vector<CrashSchedule> RandomSchedules(const std::vector<DiscoveredPoint>& discovered,
+                                           uint64_t rng_seed, int rounds, int max_faults);
 
 class CrashExplorer {
  public:

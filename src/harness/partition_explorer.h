@@ -24,8 +24,10 @@
 //     coordinator, NBC's connected quorum decides anyway.
 //
 // Every failing run carries a one-line replay recipe:
-//   CAMELOT_SEED=<s> CAMELOT_PROTOCOL=<2pc|nbc> CAMELOT_NEMESIS='<script>'
-// which partition_schedule_test honors via those environment variables.
+//   CAMELOT_SEED=<s> CAMELOT_PROTOCOL=<2pc|2pc-unopt|2pc-int|nbc|paxos>
+//   [CAMELOT_F=<f>] CAMELOT_NEMESIS='<script>'
+// (CAMELOT_F appears for paxos only) which partition_schedule_test honors via
+// those environment variables.
 #ifndef SRC_HARNESS_PARTITION_EXPLORER_H_
 #define SRC_HARNESS_PARTITION_EXPLORER_H_
 
@@ -42,15 +44,11 @@ namespace camelot {
 struct PartitionExplorerConfig {
   int site_count = 3;
   uint64_t seed = 1;
-  bool non_blocking = false;  // Commit protocol for the workload's transfers.
-  // Full four-variant selection; when set it overrides non_blocking (see
-  // ExplorerConfig::variant — same contract).
+  // Commit variant for the workload's transfers (Optimized 2PC when unset;
+  // see ExplorerConfig::variant — same contract).
   std::optional<CommitOptions> variant;
 
-  CommitOptions Options() const {
-    return variant.value_or(non_blocking ? CommitOptions::NonBlocking()
-                                         : CommitOptions::Optimized());
-  }
+  CommitOptions Options() const { return variant.value_or(CommitOptions::Optimized()); }
   int transfers = 4;          // Serial; transfer i moves amount between vaults
                               // 1 and 2 (direction alternates), coordinated
                               // from site 0.

@@ -29,14 +29,11 @@ Result<CommitOptions> ParseProtocolName(std::string_view name);
 // "paxos" option set; every other protocol passes through untouched.
 CommitOptions ApplyPaxosFFromEnv(CommitOptions options);
 
-// "CAMELOT_SEED=<seed> CAMELOT_PROTOCOL=<2pc|nbc>"
-std::string ReplayRecipePrefix(uint64_t seed, bool non_blocking);
-// Same, with the full four-variant protocol token.
+// "CAMELOT_SEED=<seed> CAMELOT_PROTOCOL=<token>[ CAMELOT_F=<f>]" (CAMELOT_F
+// for paxos only).
 std::string ReplayRecipePrefix(uint64_t seed, const CommitOptions& options);
 
 // The full recipe: prefix + " <variable>='<schedule>'".
-std::string ReplayRecipe(uint64_t seed, bool non_blocking, const std::string& variable,
-                         const std::string& schedule);
 std::string ReplayRecipe(uint64_t seed, const CommitOptions& options,
                          const std::string& variable, const std::string& schedule);
 

@@ -1358,22 +1358,21 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
   int rounds = 0;
   SendMsgToAll(targets, replicate);
   while (acked.size() + 1 < fam->commit_quorum) {
-    auto msg = co_await fam->inbox->ReceiveTimeout(config_.retry_interval);
-    if (Dead(inc) || fam->inbox->closed()) {
-      co_return UnavailableError("site crashed");
-    }
-    if (msg.has_value()) {
-      if (msg->type == TmMsgType::kReplicateAck && msg->epoch == replicate.epoch) {
-        acked.insert(msg->from);
-      } else if (msg->type == TmMsgType::kCommit) {
-        // A takeover coordinator beat us to the decision: adopt it.
-        co_await SubordinateCommit(fam);
+    FamilyWait wait = co_await AwaitFamily(fam, inc, config_.retry_interval);
+    switch (wait.kind) {
+      case FamilyWait::kGone:
+        co_return UnavailableError("site crashed");
+      case FamilyWait::kCommitted:  // A takeover coordinator beat us to the decision.
         co_return OkStatus();
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
+      case FamilyWait::kAborted:
         co_return AbortedError("aborted by a takeover coordinator");
-      }
-      continue;
+      case FamilyWait::kMessage:
+        if (wait.msg.type == TmMsgType::kReplicateAck && wait.msg.epoch == replicate.epoch) {
+          acked.insert(wait.msg.from);
+        }
+        continue;
+      case FamilyWait::kTimeout:
+        break;
     }
     ++rounds;
     if (rounds > 2 && !readonly_pool.empty()) {
@@ -1561,21 +1560,22 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
   std::set<SiteId> accepted;
   int rounds = 0;
   while (accepted.size() + 1 < fam->commit_quorum) {
-    auto msg = co_await fam->inbox->ReceiveTimeout(config_.retry_interval);
-    if (Dead(inc) || fam->inbox->closed()) {
-      co_return UnavailableError("site crashed");
-    }
-    if (msg.has_value()) {
-      if (msg->type == TmMsgType::kPaxosAccepted && msg->epoch == fam->replicated_epoch) {
-        accepted.insert(msg->from);
-      } else if (msg->type == TmMsgType::kCommit) {
-        co_await SubordinateCommit(fam);
+    FamilyWait wait = co_await AwaitFamily(fam, inc, config_.retry_interval);
+    switch (wait.kind) {
+      case FamilyWait::kGone:
+        co_return UnavailableError("site crashed");
+      case FamilyWait::kCommitted:
         co_return OkStatus();
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
+      case FamilyWait::kAborted:
         co_return AbortedError("aborted by a takeover coordinator");
-      }
-      continue;
+      case FamilyWait::kMessage:
+        if (wait.msg.type == TmMsgType::kPaxosAccepted &&
+            wait.msg.epoch == fam->replicated_epoch) {
+          accepted.insert(wait.msg.from);
+        }
+        continue;
+      case FamilyWait::kTimeout:
+        break;
     }
     ++rounds;
     if (rounds > config_.max_takeover_rounds) {
@@ -1926,9 +1926,7 @@ Async<void> TranMan::SubordinateWait(FamilyId family_id, uint32_t inc) {
         continue;
       }
       // NBC/Paxos: become a coordinator (change 2 / leader takeover).
-      const bool resolved = fam->protocol == CommitProtocol::kPaxos
-                                ? co_await TakeoverPaxos(family_id, inc)
-                                : co_await Takeover(family_id, inc);
+      const bool resolved = co_await Takeover(family_id, inc);
       if (resolved || Dead(inc)) {
         co_return;
       }
@@ -2134,7 +2132,26 @@ Async<void> TranMan::OrphanWatch(FamilyId family_id, uint32_t inc) {
   }
 }
 
-// --- Takeover (NBC, change 2) -----------------------------------------------------------------
+// --- Takeover (NBC change 2, Paxos Commit leader promotion) ----------------------------------
+
+Async<TranMan::FamilyWait> TranMan::AwaitFamily(Family* fam, uint32_t inc, SimDuration timeout) {
+  std::optional<TmMsg> msg = co_await fam->inbox->ReceiveTimeout(timeout);
+  if (Dead(inc) || FindFamily(fam->top.family) != fam || fam->inbox->closed()) {
+    co_return FamilyWait{FamilyWait::kGone, {}};
+  }
+  if (!msg.has_value()) {
+    co_return FamilyWait{FamilyWait::kTimeout, {}};
+  }
+  if (msg->type == TmMsgType::kCommit) {
+    co_await SubordinateCommit(fam);
+    co_return FamilyWait{FamilyWait::kCommitted, {}};
+  }
+  if (msg->type == TmMsgType::kAbort) {
+    co_await SubordinateAbort(fam);
+    co_return FamilyWait{FamilyWait::kAborted, {}};
+  }
+  co_return FamilyWait{FamilyWait::kMessage, std::move(*msg)};
+}
 
 Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
   Family* fam = FindFamily(family_id);
@@ -2142,6 +2159,7 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
     co_return true;
   }
   ++counters_.takeovers;
+  const bool paxos = fam->protocol == CommitProtocol::kPaxos;
   const uint64_t epoch = NextEpoch(fam);
   std::vector<SiteId> others;
   for (SiteId s : fam->sites) {
@@ -2151,328 +2169,66 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
   }
   const uint32_t n = static_cast<uint32_t>(fam->sites.size());
   const uint32_t qc = fam->commit_quorum != 0 ? fam->commit_quorum : n / 2 + 1;
-  const uint32_t qa = fam->abort_quorum != 0 ? fam->abort_quorum : n + 1 - qc;
+  const uint32_t qa = fam->abort_quorum != 0 ? fam->abort_quorum : paxos ? qc : n + 1 - qc;
+  // Acceptors: every participant for NBC (so every answer counts), the first
+  // 2F+1 participants for Paxos.
+  const std::vector<SiteId> paxos_acceptors = PaxosAcceptors(fam->sites, qc);
+  const auto is_acceptor = [&](SiteId s) {
+    return !paxos || std::find(paxos_acceptors.begin(), paxos_acceptors.end(), s) !=
+                         paxos_acceptors.end();
+  };
+  const bool self_acceptor = is_acceptor(site_.id());
+  const auto announce = [&](TmMsgType type) {
+    TmMsg outcome;
+    outcome.type = type;
+    outcome.tid = fam->top;
+    SendMsgToAll(others, outcome);
+  };
 
   // Status phase: read the participants' states (and take their promises).
+  // The Paxos marker also makes family-less acceptors promise, turning their
+  // kUnknown into countable "no accepted value" testimony.
   TmMsg req;
   req.type = TmMsgType::kStatusReq;
   req.tid = fam->top;
   req.epoch = epoch;
+  if (paxos) {
+    req.protocol = CommitProtocol::kPaxos;
+  }
   SendMsgToAll(others, req);
 
   std::unordered_map<SiteId, TmMsg> responses;
-  {
-    const SimTime deadline = site_.sched().now() + 2 * config_.retry_interval;
-    while (site_.sched().now() < deadline &&
-           responses.size() < others.size()) {
-      auto msg = co_await fam->inbox->ReceiveTimeout(deadline - site_.sched().now());
-      if (Dead(inc)) {
-        co_return true;
-      }
-      fam = FindFamily(family_id);
-      if (fam == nullptr || fam->inbox->closed()) {
-        co_return true;
-      }
-      if (!msg.has_value()) {
-        break;
-      }
-      if (msg->type == TmMsgType::kStatusResp) {
-        responses[msg->from] = *msg;
-      } else if (msg->type == TmMsgType::kCommit) {
-        co_await SubordinateCommit(fam);
-        co_return true;
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
-        co_return true;
-      }
+  const SimTime read_deadline = site_.sched().now() + 2 * config_.retry_interval;
+  while (site_.sched().now() < read_deadline && responses.size() < others.size()) {
+    FamilyWait wait = co_await AwaitFamily(fam, inc, read_deadline - site_.sched().now());
+    if (wait.kind == FamilyWait::kTimeout) {
+      break;
     }
-  }
-
-  // Adopt any already-final outcome.
-  for (const auto& [from, resp] : responses) {
-    if (resp.state == TmTxnState::kCommitted) {
-      co_await SubordinateCommit(fam);
-      TmMsg commit;
-      commit.type = TmMsgType::kCommit;
-      commit.tid = fam->top;
-      SendMsgToAll(others, commit);
+    if (wait.kind != FamilyWait::kMessage) {
       co_return true;
     }
-    if (resp.state == TmTxnState::kAborted) {
-      co_await SubordinateAbort(fam);
-      TmMsg abort;
-      abort.type = TmMsgType::kAbort;
-      abort.tid = fam->top;
-      SendMsgToAll(others, abort);
-      co_return true;
+    if (wait.msg.type == TmMsgType::kStatusResp) {
+      responses[wait.msg.from] = wait.msg;
     }
   }
 
-  // Choose a proposal: the highest-epoch replicated decision wins; with no
-  // replication evidence anywhere, abort is the safe default.
-  TmDecision proposal = TmDecision::kAbort;
-  uint64_t best_epoch = 0;
-  bool any_replication = false;
-  auto consider = [&](bool has, uint64_t rep_epoch, TmDecision dec) {
-    if (has && (!any_replication || rep_epoch > best_epoch)) {
-      any_replication = true;
-      best_epoch = rep_epoch;
-      proposal = dec;
-    }
-  };
-  consider(fam->has_replication, fam->replicated_epoch, fam->replicated_decision);
-  uint32_t abort_static_support = 0;  // kUnknown/read-only: can never join a commit quorum.
-  uint32_t prepared_count = 0;
-  for (const auto& [from, resp] : responses) {
-    consider(resp.has_replication, resp.replicated_epoch, resp.replicated_decision);
-    if (resp.state == TmTxnState::kUnknown) {
-      ++abort_static_support;
-    } else if (resp.state == TmTxnState::kPrepared) {
-      ++prepared_count;
-    }
-  }
-
-  // Safety: the read (promise) set must intersect every quorum of the other
-  // decision. With Qc + Qa = n + 1 that means max(Qc, Qa) responses incl. us.
-  const uint32_t read_set = static_cast<uint32_t>(responses.size()) + 1;
-  if (read_set < std::max(qc, qa)) {
-    // No reachable quorum: we are blocked too (NBC's minority side), just
-    // like a 2PC subordinate in the window of vulnerability.
-    MarkBlocked(fam);
-    co_await site_.sched().Delay(
-        Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
-    co_return false;  // Not enough of the cohort reachable; stay blocked.
-  }
-
-  const uint32_t needed = proposal == TmDecision::kCommit ? qc : qa;
-
-  // Accept our own proposal durably.
-  fam->promised_epoch = std::max(fam->promised_epoch, epoch);
-  fam->has_replication = true;
-  fam->replicated_epoch = epoch;
-  fam->replicated_decision = proposal;
-  const Lsn rep_lsn = log_.Append(LogRecord::Replication(fam->top, site_.id(), epoch,
-                                                         static_cast<uint8_t>(proposal),
-                                                         fam->sites, fam->protocol,
-                                                         fam->commit_quorum, fam->abort_quorum));
-  if (!co_await DirectForceAt("tm.takeover.replicate_force", fam->top.family, rep_lsn)) {
-    co_return true;
-  }
-  fam = FindFamily(family_id);
-  if (fam == nullptr) {
-    co_return true;
-  }
-
-  TmMsg replicate;
-  replicate.type = TmMsgType::kReplicate;
-  replicate.tid = fam->top;
-  replicate.epoch = epoch;
-  replicate.decision = proposal;
-  std::vector<SiteId> acceptors;
-  for (const auto& [from, resp] : responses) {
-    if (resp.state == TmTxnState::kPrepared) {
-      acceptors.push_back(from);
-    }
-  }
-  SendMsgToAll(acceptors, replicate);
-
-  uint32_t support = 1;  // Ourselves.
-  if (proposal == TmDecision::kAbort) {
-    support += abort_static_support;
-  }
-  {
-    const SimTime deadline = site_.sched().now() + 2 * config_.retry_interval;
-    std::set<SiteId> acked;
-    while (support + acked.size() < needed && site_.sched().now() < deadline) {
-      auto msg = co_await fam->inbox->ReceiveTimeout(deadline - site_.sched().now());
-      if (Dead(inc)) {
-        co_return true;
-      }
-      fam = FindFamily(family_id);
-      if (fam == nullptr || fam->inbox->closed()) {
-        co_return true;
-      }
-      if (!msg.has_value()) {
-        break;
-      }
-      if (msg->type == TmMsgType::kReplicateAck && msg->epoch == epoch) {
-        acked.insert(msg->from);
-      } else if (msg->type == TmMsgType::kCommit) {
-        co_await SubordinateCommit(fam);
-        co_return true;
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
-        co_return true;
-      }
-    }
-    support += static_cast<uint32_t>(acked.size());
-  }
-
-  if (support < needed) {
-    MarkBlocked(fam);
-    co_await site_.sched().Delay(
-        Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
-    co_return false;  // Quorum not reached this round.
-  }
-
-  // Decision point.
-  if (proposal == TmDecision::kCommit) {
-    const Lsn commit_lsn = log_.Append(LogRecord::Commit(fam->top, {}));
-    if (!co_await DirectForceAt("tm.takeover.commit_force", fam->top.family, commit_lsn)) {
-      co_return true;
-    }
-    fam = FindFamily(family_id);
-    if (fam == nullptr) {
-      co_return true;
-    }
-    ClearBlocked(fam);
-    if (AtTransition("tm.committed")) {
-      co_return true;
-    }
-    fam->state = TmTxnState::kCommitted;
-    RecordOutcome(fam->top.family, /*committed=*/true);
-    NotifyServersDropLocks(*fam);
-    TmMsg commit;
-    commit.type = TmMsgType::kCommit;
-    commit.tid = fam->top;
-    SendMsgToAll(others, commit);
-  } else {
-    log_.Append(LogRecord::Abort(fam->top));
-    RecordSpool(fam->top.family, "takeover", "abort");
-    co_await CallServersAbort(*fam);
-    if (Dead(inc)) {
-      co_return true;
-    }
-    fam = FindFamily(family_id);
-    if (fam == nullptr) {
-      co_return true;
-    }
-    ClearBlocked(fam);
-    if (AtTransition("tm.aborted")) {
-      co_return true;
-    }
-    fam->state = TmTxnState::kAborted;
-    RecordOutcome(fam->top.family, /*committed=*/false);
-    TmMsg abort;
-    abort.type = TmMsgType::kAbort;
-    abort.tid = fam->top;
-    SendMsgToAll(others, abort);
-  }
-  co_return true;
-}
-
-// --- Takeover (Paxos Commit leader promotion) -------------------------------------------------
-
-Async<bool> TranMan::TakeoverPaxos(FamilyId family_id, uint32_t inc) {
-  Family* fam = FindFamily(family_id);
-  if (fam == nullptr) {
-    co_return true;
-  }
-  ++counters_.takeovers;
-  const uint64_t epoch = NextEpoch(fam);
-  std::vector<SiteId> others;
-  for (SiteId s : fam->sites) {
-    if (s != site_.id()) {
-      others.push_back(s);
-    }
-  }
-  const uint32_t n = static_cast<uint32_t>(fam->sites.size());
-  const uint32_t qc = fam->commit_quorum != 0 ? fam->commit_quorum : n / 2 + 1;
-  const uint32_t qa = fam->abort_quorum != 0 ? fam->abort_quorum : qc;
-  const std::vector<SiteId> acceptors = PaxosAcceptors(fam->sites, qc);
-  const bool self_acceptor =
-      std::find(acceptors.begin(), acceptors.end(), site_.id()) != acceptors.end();
-
-  // Status phase: read the participants' states (and take acceptor promises —
-  // the protocol marker tells family-less acceptors to promise too, turning
-  // their kUnknown into countable "no accepted value" testimony).
-  TmMsg req;
-  req.type = TmMsgType::kStatusReq;
-  req.tid = fam->top;
-  req.epoch = epoch;
-  req.protocol = CommitProtocol::kPaxos;
-  SendMsgToAll(others, req);
-
-  std::unordered_map<SiteId, TmMsg> responses;
-  {
-    const SimTime deadline = site_.sched().now() + 2 * config_.retry_interval;
-    while (site_.sched().now() < deadline && responses.size() < others.size()) {
-      auto msg = co_await fam->inbox->ReceiveTimeout(deadline - site_.sched().now());
-      if (Dead(inc)) {
-        co_return true;
-      }
-      fam = FindFamily(family_id);
-      if (fam == nullptr || fam->inbox->closed()) {
-        co_return true;
-      }
-      if (!msg.has_value()) {
-        break;
-      }
-      if (msg->type == TmMsgType::kStatusResp) {
-        responses[msg->from] = *msg;
-      } else if (msg->type == TmMsgType::kCommit) {
-        co_await SubordinateCommit(fam);
-        co_return true;
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
-        co_return true;
-      }
-    }
-  }
-
-  // Adopt any already-final outcome (every paxos participant keeps a
+  // Adopt any already-final outcome (every NBC and Paxos participant keeps a
   // tombstone, so late leaders find the truth instead of re-deciding).
   for (const auto& [from, resp] : responses) {
     if (resp.state == TmTxnState::kCommitted) {
       co_await SubordinateCommit(fam);
-      TmMsg commit;
-      commit.type = TmMsgType::kCommit;
-      commit.tid = fam->top;
-      SendMsgToAll(others, commit);
+      announce(TmMsgType::kCommit);
       co_return true;
     }
     if (resp.state == TmTxnState::kAborted) {
       co_await SubordinateAbort(fam);
-      TmMsg abort;
-      abort.type = TmMsgType::kAbort;
-      abort.tid = fam->top;
-      SendMsgToAll(others, abort);
+      announce(TmMsgType::kAbort);
       co_return true;
     }
   }
 
-  // Read quorum: F+1 acceptors testifying about ballot 0, counting ourselves
-  // if we are one. Two kinds of testimony count: a prepared acceptor (its
-  // response carries a promise at `epoch` plus any accepted value), and a
-  // promised-empty acceptor — no family, but it recorded a promise at `epoch`
-  // when it answered, so "no accepted value" now stays true. A bare kUnknown
-  // (no promise) never counts: an amnesiac acceptor can no longer accept
-  // anything, but neither does it testify about ballot 0.
-  std::vector<SiteId> prepared_acceptors;
-  std::vector<SiteId> promised_empty;
-  for (const auto& [from, resp] : responses) {
-    if (std::find(acceptors.begin(), acceptors.end(), from) == acceptors.end()) {
-      continue;
-    }
-    if (resp.state == TmTxnState::kPrepared) {
-      prepared_acceptors.push_back(from);
-    } else if (resp.state == TmTxnState::kUnknown && resp.promised) {
-      promised_empty.push_back(from);
-    }
-  }
-  const uint32_t read_set = static_cast<uint32_t>(prepared_acceptors.size()) +
-                            static_cast<uint32_t>(promised_empty.size()) +
-                            (self_acceptor ? 1 : 0);
-  if (read_set < qc) {
-    MarkBlocked(fam);
-    co_await site_.sched().Delay(
-        Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
-    co_return false;
-  }
-
-  // Proposal: the highest-ballot accepted decision in the read set wins; with
-  // no accept anywhere, abort is the safe default (a commit accept quorum
-  // would intersect our read set in at least one acceptor).
+  // Proposal: the highest-epoch accepted decision among the acceptors read
+  // wins; with no accept anywhere, abort is the safe default.
   TmDecision proposal = TmDecision::kAbort;
   uint64_t best_epoch = 0;
   bool any_replication = false;
@@ -2486,34 +2242,57 @@ Async<bool> TranMan::TakeoverPaxos(FamilyId family_id, uint32_t inc) {
   if (self_acceptor) {
     consider(fam->has_replication, fam->replicated_epoch, fam->replicated_decision);
   }
+  // Paxos testimony about ballot 0 comes from prepared acceptors (a promise at
+  // `epoch` plus any accepted value) and promised-empty ones (no family, but
+  // a promise recorded when they answered, so "no accepted value" stays
+  // true). A bare kUnknown proves nothing to Paxos, since an amnesiac
+  // acceptor may have accepted and forgotten; to NBC it is static abort
+  // support, because NBC participants keep tombstones and a site without
+  // the family can never join a commit quorum.
+  std::vector<SiteId> prepared;
+  std::vector<SiteId> promised_empty;
+  uint32_t abort_static_support = 0;
   for (const auto& [from, resp] : responses) {
-    if (std::find(acceptors.begin(), acceptors.end(), from) != acceptors.end()) {
-      consider(resp.has_replication, resp.replicated_epoch, resp.replicated_decision);
+    if (!is_acceptor(from)) {
+      continue;
+    }
+    consider(resp.has_replication, resp.replicated_epoch, resp.replicated_decision);
+    if (resp.state == TmTxnState::kPrepared) {
+      prepared.push_back(from);
+    } else if (resp.state == TmTxnState::kUnknown && resp.promised) {
+      promised_empty.push_back(from);
+    } else if (resp.state == TmTxnState::kUnknown && !paxos) {
+      ++abort_static_support;
     }
   }
 
-  if (fam->promised_epoch > epoch) {
-    // A newer leader read us while we gathered status; defer to it.
+  // Read quorum. NBC counts every answer: with Qc + Qa = n + 1 the read set
+  // intersects every quorum of the other decision at max(Qc, Qa). Paxos
+  // counts only testimony against Qc, and also defers when a newer leader
+  // read us meanwhile (accepting would break the promise we gave it). Short
+  // of either, we are blocked like a 2PC subordinate in the window of
+  // vulnerability.
+  const size_t testimony = paxos ? prepared.size() + promised_empty.size() : responses.size();
+  const uint32_t read_set = static_cast<uint32_t>(testimony) + (self_acceptor ? 1 : 0);
+  if (read_set < (paxos ? qc : std::max(qc, qa)) || (paxos && fam->promised_epoch > epoch)) {
     MarkBlocked(fam);
     co_await site_.sched().Delay(
         Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
     co_return false;
   }
 
+  // Accept phase at this epoch: our own durable accept (if we are an
+  // acceptor) plus REPLICATEs to the prepared and promised-empty acceptors.
   const uint32_t needed = proposal == TmDecision::kCommit ? qc : qa;
-
-  // Accept phase at this ballot: our own durable accept (if we are an
-  // acceptor) plus REPLICATEs to the prepared acceptors. Only real forced
-  // accepts count toward the quorum — Paxos has no static support.
+  uint32_t support = proposal == TmDecision::kAbort ? abort_static_support : 0;
   fam->promised_epoch = std::max(fam->promised_epoch, epoch);
-  uint32_t support = 0;
   if (self_acceptor) {
     fam->has_replication = true;
     fam->replicated_epoch = epoch;
     fam->replicated_decision = proposal;
-    const Lsn rep_lsn = log_.Append(LogRecord::Replication(
-        fam->top, site_.id(), epoch, static_cast<uint8_t>(proposal), fam->sites,
-        CommitProtocol::kPaxos, qc, qa));
+    const Lsn rep_lsn = log_.Append(LogRecord::Replication(fam->top, site_.id(), epoch,
+                                                           static_cast<uint8_t>(proposal),
+                                                           fam->sites, fam->protocol, qc, qa));
     if (!co_await DirectForceAt("tm.takeover.replicate_force", fam->top.family, rep_lsn)) {
       co_return true;
     }
@@ -2521,7 +2300,7 @@ Async<bool> TranMan::TakeoverPaxos(FamilyId family_id, uint32_t inc) {
     if (fam == nullptr) {
       co_return true;
     }
-    support = 1;
+    ++support;
   }
 
   TmMsg replicate;
@@ -2529,67 +2308,61 @@ Async<bool> TranMan::TakeoverPaxos(FamilyId family_id, uint32_t inc) {
   replicate.tid = fam->top;
   replicate.epoch = epoch;
   replicate.decision = proposal;
-  replicate.commit_quorum = qc;
-  replicate.abort_quorum = qa;
-  // Promised-empty acceptors materialize a passive-acceptor family from this
-  // message (HandleReplicate), so it must carry the participant set.
-  replicate.sites = fam->sites;
-  std::vector<SiteId> replicate_targets = prepared_acceptors;
-  replicate_targets.insert(replicate_targets.end(), promised_empty.begin(),
-                           promised_empty.end());
-  SendMsgToAll(replicate_targets, replicate);
-
-  {
-    const SimTime deadline = site_.sched().now() + 2 * config_.retry_interval;
-    std::set<SiteId> acked;
-    while (support + acked.size() < needed && site_.sched().now() < deadline) {
-      auto msg = co_await fam->inbox->ReceiveTimeout(deadline - site_.sched().now());
-      if (Dead(inc)) {
-        co_return true;
-      }
-      fam = FindFamily(family_id);
-      if (fam == nullptr || fam->inbox->closed()) {
-        co_return true;
-      }
-      if (!msg.has_value()) {
-        break;
-      }
-      if (msg->type == TmMsgType::kReplicateAck && msg->epoch == epoch) {
-        acked.insert(msg->from);
-      } else if (msg->type == TmMsgType::kCommit) {
-        co_await SubordinateCommit(fam);
-        co_return true;
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
-        co_return true;
-      }
-    }
-    support += static_cast<uint32_t>(acked.size());
+  if (paxos) {
+    // Promised-empty acceptors materialize a passive-acceptor family from this
+    // message (HandleReplicate), so it carries the participants and quorums.
+    replicate.commit_quorum = qc;
+    replicate.abort_quorum = qa;
+    replicate.sites = fam->sites;
   }
+  prepared.insert(prepared.end(), promised_empty.begin(), promised_empty.end());
+  SendMsgToAll(prepared, replicate);
 
+  std::set<SiteId> acked;
+  const SimTime ack_deadline = site_.sched().now() + 2 * config_.retry_interval;
+  while (support + acked.size() < needed && site_.sched().now() < ack_deadline) {
+    FamilyWait wait = co_await AwaitFamily(fam, inc, ack_deadline - site_.sched().now());
+    if (wait.kind == FamilyWait::kTimeout) {
+      break;
+    }
+    if (wait.kind != FamilyWait::kMessage) {
+      co_return true;
+    }
+    if (wait.msg.type == TmMsgType::kReplicateAck && wait.msg.epoch == epoch) {
+      acked.insert(wait.msg.from);
+    }
+  }
+  support += static_cast<uint32_t>(acked.size());
   if (support < needed) {
     MarkBlocked(fam);
     co_await site_.sched().Delay(
         Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
-    co_return false;
+    co_return false;  // Quorum not reached this round.
   }
 
-  // Decision point: the accept quorum at this ballot is durable, so (unlike
-  // NBC takeover) the commit record is only spooled, mirroring the leader.
+  // Decision point. NBC forces the commit record; Paxos only spools it, as
+  // its leader does, because the accept quorum at this epoch is durable.
   if (proposal == TmDecision::kCommit) {
+    const Lsn commit_lsn = log_.Append(LogRecord::Commit(fam->top, {}));
+    if (paxos) {
+      RecordSpool(fam->top.family, "takeover", "paxos.commit");
+    } else {
+      if (!co_await DirectForceAt("tm.takeover.commit_force", fam->top.family, commit_lsn)) {
+        co_return true;
+      }
+      fam = FindFamily(family_id);
+      if (fam == nullptr) {
+        co_return true;
+      }
+    }
     ClearBlocked(fam);
-    log_.Append(LogRecord::Commit(fam->top, {}));
-    RecordSpool(fam->top.family, "takeover", "paxos.commit");
     if (AtTransition("tm.committed")) {
       co_return true;
     }
     fam->state = TmTxnState::kCommitted;
     RecordOutcome(fam->top.family, /*committed=*/true);
     NotifyServersDropLocks(*fam);
-    TmMsg commit;
-    commit.type = TmMsgType::kCommit;
-    commit.tid = fam->top;
-    SendMsgToAll(others, commit);
+    announce(TmMsgType::kCommit);
   } else {
     log_.Append(LogRecord::Abort(fam->top));
     RecordSpool(fam->top.family, "takeover", "abort");
@@ -2607,10 +2380,7 @@ Async<bool> TranMan::TakeoverPaxos(FamilyId family_id, uint32_t inc) {
     }
     fam->state = TmTxnState::kAborted;
     RecordOutcome(fam->top.family, /*committed=*/false);
-    TmMsg abort;
-    abort.type = TmMsgType::kAbort;
-    abort.tid = fam->top;
-    SendMsgToAll(others, abort);
+    announce(TmMsgType::kAbort);
   }
   co_return true;
 }

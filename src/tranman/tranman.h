@@ -293,8 +293,8 @@ class TranMan {
   // CoordinateTwoPhase, the paper's degenerate collapse to optimized 2PC.
   Async<Status> CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<SiteId> subs,
                                 bool local_updates);
-  // Phase 1 shared by both protocols: send prepares, gather votes.
-  // Returns false on abort (abort actions already taken).
+  // Phase 1 shared by every protocol: send prepares, gather votes. Takes no
+  // abort action itself; the caller decides from the returned round.
   struct VoteRound {
     bool all_yes = false;
     bool any_abort = false;  // An explicit abort vote (vs. a silent timeout).
@@ -312,19 +312,35 @@ class TranMan {
   Async<void> SubordinateAbort(Family* fam);
   Async<void> DelayedCommitAck(FamilyId family_id, Tid top, SiteId coordinator, Lsn commit_lsn,
                                uint32_t inc);
-  // One takeover attempt cycle; resolves the transaction or leaves it for the
-  // caller to retry/park. Returns true if the outcome is now decided.
+  // One takeover round by an in-doubt NBC or Paxos participant (NBC change 2,
+  // Paxos leader promotion): take a fresh epoch, read the participants'
+  // states under promises, adopt any final outcome, else propose the
+  // highest-epoch accepted decision (abort when none) and replicate it to a
+  // quorum. The variant (fam->protocol) picks the acceptor set, read quorum,
+  // abort support and decision record; see DESIGN.md, "One takeover". Returns
+  // true once the outcome is decided here (or the round became moot), false
+  // after a blocked round's backoff, for the caller to retry or park.
   Async<bool> Takeover(FamilyId family_id, uint32_t inc);
-  // Paxos Commit leader takeover: promote to a fresh ballot, read the acceptor
-  // set, and drive the highest-ballot accepted decision (abort when none) to
-  // an F+1 accept quorum. Any participant may lead; only real forced accepts
-  // from acceptors count toward the quorum.
-  Async<bool> TakeoverPaxos(FamilyId family_id, uint32_t inc);
   // Records a participant's vote at a Paxos acceptor and, when the vote set is
   // complete and all-yes with at least one update, forms this acceptor's
   // ballot-0 accept (forced replication record + PAXOS-ACCEPTED to the leader).
   Async<void> HandlePaxosVote(TmMsg msg);
   Async<void> TryFormPaxosAccept(FamilyId family_id, uint32_t inc);
+  // What one receive on a family's protocol inbox came to (AwaitFamily).
+  struct FamilyWait {
+    enum Kind {
+      kGone,       // The site died, or the family retired or closed its inbox.
+      kTimeout,    // Nothing arrived in time.
+      kCommitted,  // A COMMIT arrived and was applied here.
+      kAborted,    // An ABORT arrived and was applied here.
+      kMessage,    // Any other message, handed back in `msg`.
+    } kind;
+    TmMsg msg;
+  };
+  // One receive on fam->inbox for up to `timeout`, for the protocol waits
+  // that gather answers or acks: owns the liveness checks and applies an
+  // outcome that arrives mid-wait (SubordinateCommit / SubordinateAbort).
+  Async<FamilyWait> AwaitFamily(Family* fam, uint32_t inc, SimDuration timeout);
   // Watches an active subordinate family for coordinator death (see
   // TranManConfig::orphan_check_interval).
   Async<void> OrphanWatch(FamilyId family_id, uint32_t inc);

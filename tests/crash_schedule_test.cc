@@ -1,6 +1,7 @@
 // Crash-schedule exploration: discovery, exhaustive single-crash sweeps under
-// both commit protocols, crash-during-recovery sweeps, determinism, and
-// environment-variable replay (see src/harness/crash_explorer.h).
+// the commit variants, crash-during-recovery sweeps, failpoint-trace digests,
+// determinism, and environment-variable replay (see
+// src/harness/crash_explorer.h).
 //
 // Every failing run is reported with a one-line replay recipe; rerun it with
 //   CAMELOT_SEED=<s> CAMELOT_PROTOCOL=<2pc|2pc-unopt|2pc-int|nbc|paxos>
@@ -21,17 +22,9 @@
 namespace camelot {
 namespace {
 
-ExplorerConfig Config(bool non_blocking, uint64_t seed = 1) {
+ExplorerConfig Config(const CommitOptions& options) {
   ExplorerConfig cfg;
-  cfg.non_blocking = non_blocking;
-  cfg.seed = seed;
-  return cfg;
-}
-
-ExplorerConfig PaxosConfig(uint32_t f = 1, uint64_t seed = 1) {
-  ExplorerConfig cfg;
-  cfg.variant = CommitOptions::Paxos(f);
-  cfg.seed = seed;
+  cfg.variant = options;
   return cfg;
 }
 
@@ -58,7 +51,7 @@ bool Has(const std::vector<DiscoveredPoint>& discovered, const char* point, uint
 // point set for a 3-site transfer workload under each protocol.
 
 TEST(CrashScheduleDiscovery, FindsTheTwoPhaseInstrumentation) {
-  auto d = CrashExplorer(Config(/*non_blocking=*/false)).Discover();
+  auto d = CrashExplorer(Config(CommitOptions::Optimized())).Discover();
   // Coordinator (site 0).
   EXPECT_TRUE(Has(d, "tm.send.PREPARE", 0));
   EXPECT_TRUE(Has(d, "tm.send.COMMIT", 0));
@@ -80,7 +73,7 @@ TEST(CrashScheduleDiscovery, FindsTheTwoPhaseInstrumentation) {
 }
 
 TEST(CrashScheduleDiscovery, FindsTheNonBlockingInstrumentation) {
-  auto d = CrashExplorer(Config(/*non_blocking=*/true)).Discover();
+  auto d = CrashExplorer(Config(CommitOptions::NonBlocking())).Discover();
   // The three coordinator forces of the paper's non-blocking protocol.
   EXPECT_TRUE(Has(d, "tm.nbc.prepare_force.before", 0));
   EXPECT_TRUE(Has(d, "tm.nbc.prepare_force.after", 0));
@@ -107,7 +100,7 @@ TEST(CrashScheduleDiscovery, FindsTheNonBlockingInstrumentation) {
 // real Paxos Commit — a ballot-0 accept force at every acceptor and
 // PAXOS-ACCEPTED datagrams back to the leader.
 TEST(CrashScheduleDiscovery, FindsThePaxosInstrumentation) {
-  auto d = CrashExplorer(PaxosConfig()).Discover();
+  auto d = CrashExplorer(Config(CommitOptions::Paxos(1))).Discover();
   // Coordinator (site 0): leader accept plus the degenerate 2PC commits.
   EXPECT_TRUE(Has(d, "tm.send.PREPARE", 0));
   EXPECT_TRUE(Has(d, "tm.send.VOTE", 0));
@@ -153,22 +146,22 @@ TEST(CrashScheduleSweep, FaultFreeRunPassesConformanceGate) {
 
 TEST(CrashScheduleSweep, ExhaustiveSingleCrashSweepPassesOracle_TwoPhase) {
   int runs = 0;
-  ReportFailures(CrashExplorer(Config(/*non_blocking=*/false))
+  ReportFailures(CrashExplorer(Config(CommitOptions::Optimized()))
                      .ExhaustiveSingleCrashSweep(/*max_hits_per_point=*/0, &runs));
   EXPECT_GE(runs, 60) << "suspiciously few runs: instrumentation rot?";
 }
 
 TEST(CrashScheduleSweep, ExhaustiveSingleCrashSweepPassesOracle_NonBlocking) {
   int runs = 0;
-  ReportFailures(CrashExplorer(Config(/*non_blocking=*/true))
+  ReportFailures(CrashExplorer(Config(CommitOptions::NonBlocking()))
                      .ExhaustiveSingleCrashSweep(/*max_hits_per_point=*/0, &runs));
   EXPECT_GE(runs, 100) << "suspiciously few runs: instrumentation rot?";
 }
 
 TEST(CrashScheduleSweep, ExhaustiveSingleCrashSweepPassesOracle_Paxos) {
   int runs = 0;
-  ReportFailures(
-      CrashExplorer(PaxosConfig()).ExhaustiveSingleCrashSweep(/*max_hits_per_point=*/0, &runs));
+  ReportFailures(CrashExplorer(Config(CommitOptions::Paxos(1)))
+                     .ExhaustiveSingleCrashSweep(/*max_hits_per_point=*/0, &runs));
   EXPECT_GE(runs, 85) << "suspiciously few runs: instrumentation rot?";
 }
 
@@ -178,7 +171,7 @@ TEST(CrashScheduleSweep, ExhaustiveSingleCrashSweepPassesOracle_Paxos) {
 // resolved by leader takeover at a promoted ballot — and the atomicity,
 // leak, and isolation oracles must all hold after heal.
 TEST(CrashScheduleSweep, CoordinatorPlusAcceptorDoubleCrashSweep_Paxos) {
-  CrashExplorer ex(PaxosConfig());
+  CrashExplorer ex(Config(CommitOptions::Paxos(1)));
   const char* coordinator_points[] = {
       "tm.paxos.prepare_force.after", "tm.send.PREPARE", "tm.paxos.accept_force.after",
       "tm.send.COMMIT", "tm.committed"};
@@ -208,7 +201,7 @@ TEST(CrashScheduleSweep, CoordinatorPlusAcceptorDoubleCrashSweep_Paxos) {
 // sweep). Recovery must be idempotent across the interrupted passes.
 
 TEST(CrashScheduleSweep, CrashDuringRecoverySweep_TwoPhase) {
-  CrashExplorer ex(Config(/*non_blocking=*/false));
+  CrashExplorer ex(Config(CommitOptions::Optimized()));
   int runs = 0;
   // Coordinator dies with its commit record durable: restart must redo and
   // resume phase 2 — and survive being crashed again at each recovery point.
@@ -223,7 +216,7 @@ TEST(CrashScheduleSweep, CrashDuringRecoverySweep_TwoPhase) {
 }
 
 TEST(CrashScheduleSweep, CrashDuringRecoverySweep_NonBlocking) {
-  CrashExplorer ex(Config(/*non_blocking=*/true));
+  CrashExplorer ex(Config(CommitOptions::NonBlocking()));
   int runs = 0;
   ReportFailures(ex.RecoverySweep(
       {"tm.nbc.commit_force.after", SiteId{0}, 1, FailpointAction::kCrash, 0}, &runs));
@@ -231,7 +224,7 @@ TEST(CrashScheduleSweep, CrashDuringRecoverySweep_NonBlocking) {
 }
 
 TEST(CrashScheduleSweep, CrashDuringRecoverySweep_Paxos) {
-  CrashExplorer ex(PaxosConfig());
+  CrashExplorer ex(Config(CommitOptions::Paxos(1)));
   int runs = 0;
   // The coordinator dies with its ballot-0 accept durable but the commit
   // record only spooled: restart must rebuild the family from the
@@ -242,11 +235,72 @@ TEST(CrashScheduleSweep, CrashDuringRecoverySweep_Paxos) {
   EXPECT_GE(runs, 4) << "the base crash discovered no recovery points";
 }
 
+// --- Behaviour pins ---------------------------------------------------------------
+//
+// One FNV-1a digest over the recorded failpoint traces of a whole schedule
+// set. Trace lines carry virtual-microsecond timestamps, so a digest pins when
+// every point was evaluated as well as the order. The sets drive the takeover
+// under both variants: every single crash under NBC and Paxos (F = 1 on three
+// sites, F = 2 on five), plus seeded multi-fault schedules, which alone reach
+// NBC's block after a short ack round and Paxos's promised-empty testimony.
+
+uint64_t TraceDigest(CrashExplorer& explorer, const std::vector<CrashSchedule>& schedules) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const std::string& text) {
+    for (const unsigned char c : text) {
+      h = (h ^ c) * 0x100000001b3ULL;
+    }
+    h = (h ^ '\n') * 0x100000001b3ULL;
+  };
+  for (const CrashSchedule& schedule : schedules) {
+    mix(schedule.ToString());
+    for (const std::string& line : explorer.Run(schedule, /*record=*/true).trace) {
+      mix(line);
+    }
+  }
+  return h;
+}
+
+TEST(CrashScheduleDigest, FailpointTracesMatchPinnedDigests) {
+  struct Set {
+    const char* name;
+    CommitOptions options;
+    int sites;
+    bool random;  // RandomSweep's shape; else every single-crash schedule.
+    size_t schedules;
+    uint64_t digest;
+  };
+  const Set sets[] = {
+      {"nbc single crash", CommitOptions::NonBlocking(), 3, false, 127, 0xfb846ad49ae09a18ULL},
+      {"paxos F=1 single crash", CommitOptions::Paxos(1), 3, false, 92, 0xa91ed5f07244e20eULL},
+      {"paxos F=2 single crash", CommitOptions::Paxos(2), 5, false, 117, 0x581650f2ac0f2343ULL},
+      {"nbc random", CommitOptions::NonBlocking(), 3, true, 300, 0x0ce16ad9ebf1d09dULL},
+      {"paxos F=1 random", CommitOptions::Paxos(1), 3, true, 300, 0xb503375b8eb49b0eULL},
+  };
+  for (const Set& set : sets) {
+    ExplorerConfig cfg = Config(set.options);
+    cfg.site_count = set.sites;
+    CrashExplorer ex(cfg);
+    const std::vector<DiscoveredPoint> discovered = ex.Discover();
+    const std::vector<CrashSchedule> schedules =
+        set.random ? RandomSchedules(discovered, /*rng_seed=*/7919, /*rounds=*/300,
+                                     /*max_faults=*/3)
+                   : SingleCrashSchedules(discovered, /*max_hits_per_point=*/0);
+    EXPECT_EQ(schedules.size(), set.schedules) << set.name;
+    const uint64_t digest = TraceDigest(ex, schedules);
+    EXPECT_EQ(digest, set.digest)
+        << set.name << ": failpoint traces changed (digest 0x" << std::hex << digest
+        << "). A digest may move only in a change that states why protocol behaviour "
+           "changed; a refactor must leave every trace, timestamps included, as it was.";
+  }
+}
+
 // --- Determinism ------------------------------------------------------------------
 
 TEST(CrashScheduleDeterminism, SameSeedAndScheduleReproduceIdenticalTrace) {
   for (const bool non_blocking : {false, true}) {
-    CrashExplorer ex(Config(non_blocking));
+    CrashExplorer ex(
+        Config(non_blocking ? CommitOptions::NonBlocking() : CommitOptions::Optimized()));
     const char* text = non_blocking ? "tm.nbc.replicate_force.before@0#1=crash"
                                     : "tm.2pc.commit_force.before@0#1=crash";
     const auto schedule = CrashSchedule::Parse(text);

@@ -224,6 +224,43 @@ TEST(FailureTest, NonBlockingTakeoverAbortsWhenNoReplicationExists) {
   EXPECT_EQ(rig.ReadAcct(0), 100);
 }
 
+TEST(FailureTest, NonBlockingTakeoverCountsUnknownAnswersTowardAbort) {
+  // Site 2 dies before its prepare record is durable, and the coordinator
+  // dies retransmitting the PREPARE site 2 never answered; only site 1 is
+  // prepared. Site 2 restarts without the family. NBC participants keep
+  // outcome tombstones, so its kUnknown answer proves it can never join a
+  // commit quorum: site 1's takeover counts it toward the abort quorum
+  // (Qa = 2) and aborts while the coordinator is still down, with no
+  // replication ack to wait for.
+  Rig rig(FailConfig(3));
+  rig.CrashAt("tm.sub.prepare_force.before", 2);
+  rig.world.failpoints().Arm("tm.send.PREPARE", SiteId{0}, FailpointArm::Crash(2));
+  rig.world.sched().Spawn([](Rig& r) -> Async<void> {
+    auto begin = co_await r.app.Begin();
+    const Tid tid = *begin;
+    for (int i = 0; i < 3; ++i) {
+      co_await r.app.WriteInt(tid, Rig::ServerName(i), "acct", 55);
+    }
+    co_await r.app.Commit(tid, CommitOptions::NonBlocking());
+  }(rig));
+  rig.world.RunFor(Sec(2));
+  rig.world.Restart(2);
+  rig.world.RunFor(Sec(30));
+
+  ASSERT_FALSE(rig.world.site(0).site().up());
+  const FamilyId family{SiteId{0}, 1};
+  EXPECT_GE(rig.world.site(1).tranman().counters().takeovers, 1u);
+  EXPECT_EQ(rig.world.site(1).tranman().QueryState(family), TmTxnState::kAborted);
+  EXPECT_EQ(rig.server(1)->locks().held_lock_count(), 0u);
+  EXPECT_EQ(rig.ReadAcct(1), 100);
+  EXPECT_EQ(rig.ReadAcct(2), 100);
+
+  rig.world.Restart(0);
+  rig.world.RunUntilIdle();
+  EXPECT_EQ(rig.ReadAcct(0), 100);
+  EXPECT_EQ(rig.world.site(0).tranman().live_family_count(), 0u);
+}
+
 TEST(FailureTest, NonBlockingSurvivesPartitionOfCoordinator) {
   Rig rig(FailConfig(3));
   // Partition the coordinator away at the brink of its commit force, once

@@ -21,9 +21,9 @@
 namespace camelot {
 namespace {
 
-PartitionExplorerConfig Config(bool non_blocking, uint64_t seed = 1) {
+PartitionExplorerConfig Config(const CommitOptions& options, uint64_t seed = 1) {
   PartitionExplorerConfig cfg;
-  cfg.non_blocking = non_blocking;
+  cfg.variant = options;
   cfg.seed = seed;
   return cfg;
 }
@@ -65,7 +65,7 @@ TEST(PartitionSchedule, TwoPhaseSubordinatesBlockWhileCoordinatorIsolated) {
   // Partition {0} | {1,2} the instant the 2PC coordinator's commit record is
   // durable: subordinates are prepared, in the window of vulnerability, and
   // the COMMIT datagrams die on the wire.
-  PartitionExplorer ex(Config(/*non_blocking=*/false));
+  PartitionExplorer ex(Config(CommitOptions::Optimized()));
   const PartitionRunResult result =
       ex.Run(MustParse("tm.2pc.commit_force.after@0#1=partition:0|1,2;+4000000=heal"));
   ASSERT_TRUE(result.ok) << result.Explain() << "  replay: " << result.replay;
@@ -84,7 +84,7 @@ TEST(PartitionSchedule, NbcQuorumSideDecidesDuringPartition) {
   // Same split, same instant, but under the non-blocking protocol: sites 1+2
   // hold replicated evidence and form a commit quorum (2 of 3), so takeover
   // decides inside the fault window — no waiting for the coordinator.
-  PartitionExplorer ex(Config(/*non_blocking=*/true));
+  PartitionExplorer ex(Config(CommitOptions::NonBlocking()));
   const PartitionRunResult result =
       ex.Run(MustParse("tm.nbc.commit_force.after@0#1=partition:0|1,2;+4000000=heal"));
   ASSERT_TRUE(result.ok) << result.Explain() << "  replay: " << result.replay;
@@ -128,13 +128,15 @@ TEST(PartitionSchedule, PaxosQuorumSideDecidesDuringPartition) {
 
 TEST(PartitionSchedule, ExhaustiveSinglePartitionSweepTwoPhase) {
   int runs = 0;
-  ReportFailures(PartitionExplorer(Config(false)).ExhaustiveSinglePartitionSweep(&runs));
+  ReportFailures(
+      PartitionExplorer(Config(CommitOptions::Optimized())).ExhaustiveSinglePartitionSweep(&runs));
   EXPECT_EQ(runs, 17);  // Fault-free conformance baseline + 4 splits x 4 windows.
 }
 
 TEST(PartitionSchedule, ExhaustiveSinglePartitionSweepNonBlocking) {
   int runs = 0;
-  ReportFailures(PartitionExplorer(Config(true)).ExhaustiveSinglePartitionSweep(&runs));
+  ReportFailures(PartitionExplorer(Config(CommitOptions::NonBlocking()))
+                     .ExhaustiveSinglePartitionSweep(&runs));
   EXPECT_EQ(runs, 17);
 }
 
@@ -163,7 +165,9 @@ TEST(PartitionSchedule, SameSeedAndScriptReproduceIdenticalRuns) {
   const NemesisScript script =
       MustParse("tm.2pc.commit_force.after@0#1=partition:0|1,2;+4000000=heal;"
                 "@8000000=reorder:0.3,20000;+2000000=calm");
-  auto run = [&script] { return PartitionExplorer(Config(false, 7)).Run(script); };
+  auto run = [&script] {
+    return PartitionExplorer(Config(CommitOptions::Optimized(), 7)).Run(script);
+  };
   const PartitionRunResult a = run();
   const PartitionRunResult b = run();
   EXPECT_EQ(a.ok, b.ok);

@@ -2,7 +2,8 @@
 // the happy path through the replicated registrar, the F = 0 collapse to
 // optimized 2PC, non-blocking progress when an acceptor dies, and leader
 // takeover resolving both outcomes after a coordinator crash — the property
-// 2PC cannot offer.
+// 2PC cannot offer — including takeovers led and answered by a participant
+// outside the acceptor set.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -196,6 +197,32 @@ TEST(PaxosCommitTest, CoordinatorCrashBeforeItsVoteResolvesToAbortByTakeover) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(rig.world.site(i).tranman().counters().heuristic_damage, 0u) << "site " << i;
   }
+}
+
+TEST(PaxosCommitTest, NonAcceptorLeadsAndAnswersTakeoverAfterCoordinatorCrash) {
+  // Four updating sites under F = 1 seat acceptors 0..2 only, so site 3 is a
+  // participant outside the registrar — a shape no three-site explorer
+  // workload reaches. With the coordinator dead after its ballot-0 accept,
+  // site 3 times out in doubt too: it leads takeovers without forcing an
+  // accept of its own (only acceptors' accepts count), and its answers to
+  // the other leaders' reads count for nothing.
+  Rig rig(QuietConfig(4));
+  rig.world.failpoints().set_recording(true);
+  rig.world.failpoints().Arm("tm.paxos.accept_force.after", SiteId{0}, FailpointArm::Crash());
+  std::optional<Status> status;
+  rig.world.sched().Spawn(Capture(IncrementTxn(rig.app, 4, CommitOptions::Paxos(1)), &status));
+  rig.world.RunFor(Sec(60));
+  rig.world.Restart(0);
+  rig.world.RunFor(Sec(60));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(rig.DurableAcct(i), 101) << "site " << i;
+    const TranMan& tm = rig.world.site(i).tranman();
+    EXPECT_EQ(tm.live_family_count(), 0u) << "site " << i;
+    EXPECT_EQ(tm.counters().heuristic_damage, 0u) << "site " << i;
+    EXPECT_EQ(tm.counters().duplicate_effects, 0u) << "site " << i;
+  }
+  EXPECT_GE(rig.world.site(3).tranman().counters().takeovers, 1u);
+  EXPECT_EQ(rig.world.failpoints().hits("tm.takeover.replicate_force.before", SiteId{3}), 0u);
 }
 
 TEST(PaxosCommitTest, AcceptorSetIsFirstTwoQcMinusOneSites) {

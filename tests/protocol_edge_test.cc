@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "src/harness/world.h"
@@ -64,17 +63,19 @@ TEST(ProtocolEdgeTest, SimultaneousTakeoverCoordinatorsConverge) {
   // one outcome results ("Having several simultaneous coordinators is
   // possible, but is not a problem").
   Rig rig(Quiet(3));
-  auto watcher = std::make_shared<std::function<void()>>();
-  *watcher = [&rig, watcher] {
+  // Re-posts copies of itself; it refers to itself by reference, not by an
+  // owning pointer, so no copy keeps another alive once the world drains.
+  std::function<void()> watcher;
+  watcher = [&rig, &watcher] {
     if (DurableCount(rig.world, 1, LogRecordKind::kReplication) > 0 &&
         DurableCount(rig.world, 2, LogRecordKind::kReplication) > 0) {
       rig.world.net().SetPartition({{SiteId{0}}, {SiteId{1}, SiteId{2}}});
       rig.world.Crash(0);
       return;
     }
-    rig.world.sched().Post(Usec(200), *watcher);
+    rig.world.sched().Post(Usec(200), watcher);
   };
-  rig.world.sched().Post(Usec(200), *watcher);
+  rig.world.sched().Post(Usec(200), watcher);
   rig.world.sched().Spawn([](Rig& r) -> Async<void> {
     auto b = co_await r.app.Begin();
     for (int i = 0; i < 3; ++i) {

@@ -13,16 +13,17 @@ namespace camelot {
 namespace {
 
 TEST(ReplayRecipeTest, PrefixNamesSeedAndProtocol) {
-  EXPECT_EQ(ReplayRecipePrefix(42, /*non_blocking=*/false),
+  EXPECT_EQ(ReplayRecipePrefix(42, CommitOptions::Optimized()),
             "CAMELOT_SEED=42 CAMELOT_PROTOCOL=2pc");
-  EXPECT_EQ(ReplayRecipePrefix(7, /*non_blocking=*/true),
+  EXPECT_EQ(ReplayRecipePrefix(7, CommitOptions::NonBlocking()),
             "CAMELOT_SEED=7 CAMELOT_PROTOCOL=nbc");
 }
 
 TEST(ReplayRecipeTest, FullRecipeQuotesSchedule) {
-  EXPECT_EQ(ReplayRecipe(3, false, "CAMELOT_SCHEDULE", "disk.read@2#1=error"),
+  EXPECT_EQ(ReplayRecipe(3, CommitOptions::Optimized(), "CAMELOT_SCHEDULE", "disk.read@2#1=error"),
             "CAMELOT_SEED=3 CAMELOT_PROTOCOL=2pc CAMELOT_SCHEDULE='disk.read@2#1=error'");
-  EXPECT_EQ(ReplayRecipe(9, true, "CAMELOT_NEMESIS", "partition@1000:0|1,2"),
+  EXPECT_EQ(ReplayRecipe(9, CommitOptions::NonBlocking(), "CAMELOT_NEMESIS",
+                         "partition@1000:0|1,2"),
             "CAMELOT_SEED=9 CAMELOT_PROTOCOL=nbc CAMELOT_NEMESIS='partition@1000:0|1,2'");
 }
 
