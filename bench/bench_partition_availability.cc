@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <string>
 
+#include "src/harness/crash_explorer.h"
 #include "src/harness/nemesis.h"
 #include "src/harness/world.h"
 #include "src/stats/table.h"
@@ -28,25 +29,6 @@ namespace camelot {
 namespace {
 
 constexpr SimDuration kPartitionHold = Sec(4.0);
-
-// The partition explorer's tight deterministic tuning: zero jitter, fast
-// protocol timers, so the run is bit-deterministic and resolves in seconds
-// of virtual time.
-WorldConfig MakeConfig(uint64_t seed) {
-  WorldConfig w;
-  w.site_count = 3;
-  w.seed = seed;
-  w.net.send_jitter_mean = 0;
-  w.net.stall_probability = 0;
-  w.net.receive_skew_mean = 0;
-  w.tranman.outcome_timeout = Usec(400000);
-  w.tranman.retry_interval = Usec(300000);
-  w.tranman.takeover_backoff = Usec(300000);
-  w.tranman.orphan_check_interval = Sec(1.0);
-  w.ipc.rpc_timeout = Sec(1.5);
-  w.server.lock_wait_timeout = Sec(1.0);
-  return w;
-}
 
 struct ProtocolResult {
   bool commit_ok = false;
@@ -103,16 +85,18 @@ Async<void> WatchDecisions(World* world, ProtocolResult* out) {
 
 ProtocolResult RunProtocol(bool non_blocking) {
   ProtocolResult out;
-  World world(MakeConfig(/*seed=*/1));
+  // The explorers' tuning: zero jitter and fast protocol timers, so the run
+  // is bit-deterministic and resolves in seconds of virtual time.
+  World world(ExplorerWorldConfig(/*site_count=*/3, /*seed=*/1));
   for (int i = 0; i < 3; ++i) {
     world.AddServer(i, "server:" + std::to_string(i))
         ->CreateObjectForSetup("vault", EncodeInt64(1000));
   }
 
   Nemesis nemesis(world.sched(), world.net(), &world.failpoints());
-  const std::string point =
-      std::string("tm.") + (non_blocking ? "nbc" : "2pc") + ".commit_force.after";
-  auto script = NemesisScript::Parse(point + "@0#1=partition:0|1,2;+" +
+  const std::string trigger =
+      non_blocking ? "tm.nbc.commit_force.after@0#1" : "tm.2pc.commit_force.after@0#1";
+  auto script = NemesisScript::Parse(trigger + "=partition:0|1,2;+" +
                                      std::to_string(kPartitionHold) + "=heal");
   CAMELOT_CHECK(script.ok());
   nemesis.set_on_apply([&world, &out](const NemesisEvent& ev) {

@@ -7,7 +7,8 @@ literals. A typo silently turns a crash test into a happy-path test. This
 linter extracts both sides and fails on arms that can never fire.
 
 Registered points (scanned from src/**/*.cc):
-  - Eval("name"), AtPoint("name"), AtWritePoint("name") literals.
+  - Eval("name"), AtPoint("name"), AtWritePoint("name"), AtTransition("name")
+    literals.
   - ForceAt("name", ...) / DirectForceAt("name", ...) literals, which the
     runtime expands to "name.before" and "name.after" (src/tranman/tranman.cc).
   - tm.send.<TYPE> for every message-type string in TmMsgTypeName
@@ -15,9 +16,11 @@ Registered points (scanned from src/**/*.cc):
 
 Armed points (scanned from tests/, bench/, src/harness/):
   - Arm("name", ...) literals.
-  - Schedule-grammar string literals: every ";"-separated "point@site#hit=action"
-    entry (the CrashSchedule / NemesisScript / CAMELOT_SCHEDULE grammar).
-    Relative nemesis entries ("+1000=heal") carry no point and are skipped.
+  - Schedule-grammar string literals: every "point@site#hit" inside a string,
+    with or without its "=action" (the CrashSchedule / NemesisScript /
+    CAMELOT_SCHEDULE grammar, and bare nemesis triggers such as
+    "tm.prepared@1#1" that code joins to an action later). Relative nemesis
+    entries ("+1000=heal") carry no point and are skipped.
 
 Synthetic names are exempt: unit tests for the failpoint machinery itself arm
 throwaway points on a bare FailpointRegistry. A name is synthetic when it has
@@ -33,13 +36,14 @@ import re
 import sys
 from pathlib import Path
 
-EVAL_RE = re.compile(r'\b(?:Eval|AtPoint|AtWritePoint)\(\s*"([^"]+)"')
+EVAL_RE = re.compile(r'\b(?:Eval|AtPoint|AtWritePoint|AtTransition)\(\s*"([^"]+)"')
 FORCE_RE = re.compile(r'\b(?:ForceAt|DirectForceAt)\(\s*"([^"]+)"')
 ARM_RE = re.compile(r'\bArm\(\s*"([^"]+)"')
 MSG_TYPE_RE = re.compile(r'return\s+"([A-Z][A-Z-]*)";')
-# One schedule entry inside any string literal. The name must look like a
-# dotted failpoint (letters/digits/underscore/dot) directly before @site#hit=.
-SCHEDULE_ENTRY_RE = re.compile(r'([A-Za-z][A-Za-z0-9_.]*)@\d+#\d+=')
+# One schedule entry or trigger inside any string literal. The name must look
+# like a dotted failpoint (letters/digits/underscore/dot) directly before
+# @site#hit; the "=action" may follow or be absent.
+SCHEDULE_ENTRY_RE = re.compile(r'([A-Za-z][A-Za-z0-9_.]*)@\d+#\d+')
 STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 LINE_COMMENT_RE = re.compile(r'^\s*(?://|\*)')
 

@@ -1,49 +1,50 @@
-// CrashExplorer: systematic crash-schedule exploration with an atomicity
-// oracle.
+// CrashExplorer: the fault explorer. One runner checks the paper's two fault
+// claims: optimized presumed-abort 2PC stays atomic when sites crash, and the
+// non-blocking protocols keep deciding while a partition isolates the
+// coordinator.
 //
-// Each run builds a fresh CamelotWorld, drives a fixed multi-site transfer
-// workload (every transfer touches three sites: the coordinator plus two
-// vault owners) under an armed CrashSchedule, then HEALS the installation —
-// restarting every down site, repeatedly if a schedule crashes a site again
-// mid-recovery — and finally audits the survivors:
+// Each run builds a fresh CamelotWorld, drives a ring of serial transfers
+// from site 0 under a FaultPlan — an armed CrashSchedule, a NemesisScript
+// installed against the live network, or both — then HEALS the installation
+// (restarting every down site, repeatedly if a schedule crashes a site again
+// mid-recovery) and audits the survivors: money conserved with every
+// client-visible OK commit durable, observers agree, nothing leaked, effects
+// exactly once (src/harness/oracle.h); a fault-free run's primitive counts
+// equal the static prediction exactly; the recorded history replays
+// serializably (src/harness/isolation_oracle.h; a failure dumps the history
+// and appends CAMELOT_HISTORY=<file> to the recipe); and, with a non-zero
+// `resolve_window`, liveness (see ExplorerConfig).
 //
-//   - money conserved: the sum of all vault balances equals the initial
-//     funding plus the effects of some subset of the attempted transfers,
-//     and that subset contains every transfer whose commit returned OK
-//     (client-visible OK implies durably committed);
-//   - agreement: two independent observer sites read identical balances;
-//   - nothing leaked: zero held locks and zero live transaction families at
-//     every site, and no recovery pass reported failure;
-//   - isolation: the run's recorded operation history replays serializably
-//     (src/harness/isolation_oracle.h); a failure names the anomaly, dumps
-//     the history file, and appends CAMELOT_HISTORY=<file> to the recipe.
+// The two studies differ only in data. The crash study is ExplorerConfig{}: a
+// ring over every site's vault (on three sites only one transfer in three
+// spans three sites; the other two touch the coordinator's own vault), a 6 s
+// workload window and no liveness bound. The partition study is
+// PartitionStudy(): a ring over vaults 1 and 2, so every transfer spans three
+// sites and NBC has a 2-of-3 quorum on the majority side of a
+// coordinator-isolating split, with the liveness oracle on. Its runs also
+// report availability evidence: per-site decisions *inside* each partition
+// window plus the blocked-period/blocked-time counters.
 //
-// Exploration modes:
-//   Discover()                — fault-free recording run; returns every
-//                               (point, site, hits) the workload evaluates.
-//   ExhaustiveSingleCrashSweep — one run per discovered (point, site, hit):
-//                               crash there, heal, audit.
-//   RecoverySweep             — given a base crash, discover which recovery.*
-//                               points the restart evaluates, then sweep a
-//                               second crash over each (crash-during-recovery
-//                               schedules; recovery must be idempotent).
-//   RandomSweep               — seeded multi-fault schedules (crash / drop /
-//                               delay / error at random discovered points).
-//
-// Every failing run carries a one-line replay recipe:
+// Every run carries a one-line replay recipe:
 //   CAMELOT_SEED=<s> CAMELOT_PROTOCOL=<2pc|2pc-unopt|2pc-int|nbc|paxos>
-//   [CAMELOT_F=<f>] CAMELOT_SCHEDULE='<schedule>'
-// (CAMELOT_F appears for paxos only) which the crash_schedule_test honors via
-// those environment variables, and determinism guarantees the rerun
-// reproduces the identical event trace.
+//   [CAMELOT_F=<f>] [CAMELOT_SITES=<n>] [CAMELOT_TRANSFERS=<n>]
+//   [CAMELOT_BALANCE=<v>] [CAMELOT_AMOUNT=<v>]
+//   [CAMELOT_SCHEDULE='<schedule>'] [CAMELOT_NEMESIS='<script>']
+// CAMELOT_F appears for paxos only, and the four sizing tokens only where the
+// run differs from its study's default. ReadReplayRecipe() rebuilds the run,
+// which reproduces the identical event trace.
 #ifndef SRC_HARNESS_CRASH_EXPLORER_H_
 #define SRC_HARNESS_CRASH_EXPLORER_H_
 
+#include <cstdlib>
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/failpoint.h"
+#include "src/harness/nemesis.h"
 #include "src/harness/world.h"
 #include "src/tranman/local_api.h"
 
@@ -58,8 +59,11 @@ struct ExplorerConfig {
   std::optional<CommitOptions> variant;
 
   CommitOptions Options() const { return variant.value_or(CommitOptions::Optimized()); }
-  int transfers = 3;          // Serial transfers; transfer i moves amount from
-                              // vault i%N to vault (i+1)%N, coordinated by 0.
+  int transfers = 3;          // Serial transfers around the vault ring,
+                              // coordinated by site 0.
+  // The vault ring: transfer i moves amount from vaults[i % m] to
+  // vaults[(i + 1) % m]. Empty = every site's vault in site order.
+  std::vector<int> vaults;
   int64_t initial_balance = 1000;
   int64_t amount = 10;
   // Virtual time allotted to the workload before healing starts, and to each
@@ -67,10 +71,46 @@ struct ExplorerConfig {
   SimDuration workload_window = Sec(6);
   SimDuration heal_window = Sec(3);
   int max_restart_attempts = 4;  // A schedule may crash recovery itself.
-  // Host threads for the sweep fan-out (each schedule is an independent
-  // World, so runs are bit-identical at any thread count and failures are
-  // merged in schedule order). 0 = CAMELOT_SWEEP_THREADS / host default.
+  // Non-zero turns on the liveness oracle: at the end of the workload window
+  // every network fault is force-healed and unfired arms are disarmed; after
+  // this much more virtual time the workload must have finished and every
+  // site must hold zero undecided families.
+  SimDuration resolve_window = 0;
+  // Host threads for the sweep fan-out (each run is an independent World, so
+  // runs are bit-identical at any thread count and failures are merged in
+  // plan order). 0 = CAMELOT_SWEEP_THREADS / host default.
   int sweep_threads = 0;
+};
+
+// The partition study: the vault 1 <-> vault 2 ring, 4 transfers, a 20 s
+// workload window and a 20 s resolve window.
+ExplorerConfig PartitionStudy();
+
+// The explorers' world tuning: tight protocol timers (the failure_test
+// tuning) so fault scenarios resolve in seconds of virtual time, and zero
+// jitter so every run is bit-deterministic.
+WorldConfig ExplorerWorldConfig(int site_count, uint64_t seed);
+
+// What a run injects: crash-schedule entries armed on the failpoints, a
+// nemesis script installed against the network, or both.
+struct FaultPlan {
+  CrashSchedule schedule;
+  NemesisScript script;
+
+  // Implicit, so a schedule or a script alone is a plan: Run(schedule).
+  FaultPlan() = default;
+  FaultPlan(CrashSchedule s) : schedule(std::move(s)) {}
+  FaultPlan(NemesisScript n) : script(std::move(n)) {}
+
+  bool empty() const { return schedule.entries.empty() && script.empty(); }
+};
+
+// Per-site availability evidence gathered across every partition window.
+struct SiteObservation {
+  uint64_t decided_in_window = 0;  // committed+aborted deltas while partitioned.
+  uint64_t blocked_periods = 0;    // Final counter values (whole run).
+  uint64_t blocked_time_us = 0;
+  uint64_t stuck_families = 0;
 };
 
 struct RunResult {
@@ -79,14 +119,18 @@ struct RunResult {
   int client_ok = 0;                    // Transfers whose commit returned OK.
   std::vector<std::string> trace;       // Registry trace (recording runs only).
   std::vector<DiscoveredPoint> discovered;  // Recording runs only.
+  std::vector<SiteObservation> sites;       // Empty when the script failed to install.
+  uint64_t datagrams_reordered = 0;
+  std::vector<std::string> nemesis_log;  // Applied events, timestamped.
+  std::vector<std::string> unapplied;    // Events whose condition never fired.
   std::string replay;                   // One-line replay recipe for this run.
   std::string history_path;             // Dumped history (isolation failures only).
 
-  std::string Explain() const;  // Violations joined, one per line.
+  std::string Explain() const;  // Violations, then the nemesis log, one per line.
 };
 
 struct SweepFailure {
-  CrashSchedule schedule;
+  FaultPlan plan;
   RunResult result;
 };
 
@@ -100,9 +144,32 @@ std::vector<CrashSchedule> SingleCrashSchedules(const std::vector<DiscoveredPoin
 std::vector<CrashSchedule> RandomSchedules(const std::vector<DiscoveredPoint>& discovered,
                                            uint64_t rng_seed, int rounds, int max_faults);
 
+// The scripts ExhaustiveSinglePartitionSweep runs after its fault-free
+// baseline: each 2-way split of three sites plus total isolation, installed
+// at four phases of the `options` commit protocol and healed 4 s later.
+std::vector<NemesisScript> SinglePartitionScripts(const CommitOptions& options);
+
+// The scripts RandomNemesisSweep runs: `rounds` scripts of 1..3 fault
+// episodes drawn by an Rng seeded with `rng_seed`.
+std::vector<NemesisScript> RandomNemesisScripts(uint64_t rng_seed, int rounds);
+
+// A run rebuilt from its replay recipe.
+struct ExplorerReplay {
+  ExplorerConfig config;
+  FaultPlan plan;
+};
+
+// Reads a recipe's tokens through `lookup` (the process environment by
+// default) on top of `study`, the defaults of the study that wrote it.
+Result<ExplorerReplay> ReadReplayRecipe(
+    ExplorerConfig study,
+    const std::function<const char*(const char*)>& lookup = [](const char* name) {
+      return std::getenv(name);
+    });
+
 class CrashExplorer {
  public:
-  explicit CrashExplorer(ExplorerConfig config) : config_(config) {}
+  explicit CrashExplorer(ExplorerConfig config) : config_(std::move(config)) {}
 
   const ExplorerConfig& config() const { return config_; }
 
@@ -110,8 +177,9 @@ class CrashExplorer {
   // every (point, site) with its total hit count.
   std::vector<DiscoveredPoint> Discover();
 
-  // One full run: arm `schedule`, drive workload, heal, audit.
-  RunResult Run(const CrashSchedule& schedule, bool record = false);
+  // One full run: inject `plan`, drive the workload, heal, audit. `record`
+  // keeps the failpoint trace and discovered points.
+  RunResult Run(const FaultPlan& plan, bool record = false);
 
   // Crash once at every discovered (point, site, hit <= max_hits_per_point;
   // 0 = every hit). Returns the failing runs; `runs` (optional) counts runs.
@@ -127,14 +195,24 @@ class CrashExplorer {
   std::vector<SweepFailure> RandomSweep(uint64_t rng_seed, int rounds, int max_faults,
                                         int* runs = nullptr);
 
-  // The replay recipe prefix for this configuration (seed + protocol).
-  std::string ReplayPrefix() const;
+  // The fault-free baseline (which runs the conformance gate) plus one run
+  // per SinglePartitionScripts() script under the configured protocol.
+  std::vector<SweepFailure> ExhaustiveSinglePartitionSweep(int* runs = nullptr);
+
+  // One run per RandomNemesisScripts(rng_seed, rounds) script.
+  std::vector<SweepFailure> RandomNemesisSweep(uint64_t rng_seed, int rounds,
+                                               int* runs = nullptr);
 
  private:
-  // Fan the schedules across the sweep thread pool, appending the failing
-  // runs to `failures` in schedule order.
-  void RunSchedules(const std::vector<CrashSchedule>& schedules,
-                    std::vector<SweepFailure>* failures);
+  // The replay recipe for `plan` under this configuration.
+  std::string Recipe(const FaultPlan& plan) const;
+
+  // Fans the plans across the sweep thread pool and returns `failures` with
+  // the failing runs appended in plan order. `runs` (optional) receives
+  // `extra_runs` plus the number of plans.
+  std::vector<SweepFailure> RunPlans(const std::vector<FaultPlan>& plans,
+                                     std::vector<SweepFailure> failures, int* runs,
+                                     int extra_runs = 0);
 
   ExplorerConfig config_;
 };

@@ -4,8 +4,8 @@
 // The workloads under exploration are vault transfers ("server:i" on site i,
 // each holding an int64 object "vault"). Each attempt records its
 // client-visible outcome plus which vaults it moved money between, so the
-// audits can reason about arbitrary transfer patterns (the crash explorer's
-// ring, the partition explorer's two-vault ping-pong, ...).
+// audits can reason about arbitrary transfer patterns (the fault explorer's
+// ring over every vault or over vaults 1 and 2, ...).
 //
 // Invariants:
 //   - AuditBalancesAndSubset: two independent observers read identical

@@ -1,6 +1,6 @@
 // OverloadExplorer: drives open-loop load spikes against a live Camelot
 // installation and audits that admission control keeps the system out of
-// congestion collapse — the overload twin of the crash/partition explorers.
+// congestion collapse — the overload twin of the fault explorer.
 //
 // The capacity model predicts the saturation knee from the same Table-2
 // primitive counts the conformance oracle audits: one transaction's expected

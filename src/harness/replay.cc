@@ -33,20 +33,10 @@ Result<CommitOptions> ParseProtocolName(std::string_view name) {
   }
   if (name == "paxos") {
     // The name alone does not carry F; recipes pair it with CAMELOT_F
-    // (ApplyPaxosFFromEnv), defaulting to the smallest non-degenerate set.
+    // (ReadReplayRecipe), defaulting to the smallest non-degenerate set.
     return CommitOptions::Paxos(1);
   }
   return InvalidArgumentError("unknown protocol name: " + std::string(name));
-}
-
-CommitOptions ApplyPaxosFFromEnv(CommitOptions options) {
-  if (options.protocol != CommitProtocol::kPaxos) {
-    return options;
-  }
-  if (const char* f = std::getenv("CAMELOT_F")) {
-    options.paxos_f = static_cast<uint32_t>(std::strtoul(f, nullptr, 10));
-  }
-  return options;
 }
 
 std::string ReplayRecipePrefix(uint64_t seed, const CommitOptions& options) {

@@ -1,7 +1,7 @@
-// Replay-recipe formatting shared by the crash and partition explorers: every
+// Replay-recipe formatting shared by the fault and overload explorers: every
 // oracle failure prints a one-line environment-variable recipe that rebuilds
 // the exact run. Both explorers share the seed/protocol prefix; each appends
-// its own schedule variable (CAMELOT_SCHEDULE / CAMELOT_NEMESIS), and
+// its own variables (see crash_explorer.h and overload_oracle.h), and
 // isolation failures add CAMELOT_HISTORY=<file> pointing at the dumped
 // operation history so the oracle verdict is reproducible offline without
 // re-running the simulation.
@@ -24,10 +24,6 @@ namespace camelot {
 // to 1 on parse).
 std::string ProtocolName(const CommitOptions& options);
 Result<CommitOptions> ParseProtocolName(std::string_view name);
-
-// Overrides paxos_f from the CAMELOT_F environment variable on a parsed
-// "paxos" option set; every other protocol passes through untouched.
-CommitOptions ApplyPaxosFFromEnv(CommitOptions options);
 
 // "CAMELOT_SEED=<seed> CAMELOT_PROTOCOL=<token>[ CAMELOT_F=<f>]" (CAMELOT_F
 // for paxos only).

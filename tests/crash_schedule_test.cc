@@ -3,15 +3,15 @@
 // determinism, and environment-variable replay (see
 // src/harness/crash_explorer.h).
 //
-// Every failing run is reported with a one-line replay recipe; rerun it with
-//   CAMELOT_SEED=<s> CAMELOT_PROTOCOL=<2pc|2pc-unopt|2pc-int|nbc|paxos>
-//   [CAMELOT_F=<f>] CAMELOT_SCHEDULE='<schedule>'
+// Every failing run is reported with a one-line replay recipe; rerun it by
+// prefixing the recipe's variables (see src/harness/crash_explorer.h) to
 //   ./crash_schedule_test --gtest_filter='*ReplaysScheduleFromEnvironment*'
 // which reproduces the identical event trace and prints it.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -30,7 +30,7 @@ ExplorerConfig Config(const CommitOptions& options) {
 
 void ReportFailures(const std::vector<SweepFailure>& failures) {
   for (const SweepFailure& f : failures) {
-    ADD_FAILURE() << "schedule " << f.schedule.ToString() << " violated the oracle:\n"
+    ADD_FAILURE() << "schedule " << f.plan.schedule.ToString() << " violated the oracle:\n"
                   << f.result.Explain() << "  replay: " << f.result.replay;
   }
 }
@@ -317,33 +317,80 @@ TEST(CrashScheduleDeterminism, SameSeedAndScheduleReproduceIdenticalTrace) {
 // --- Environment-variable replay --------------------------------------------------
 //
 // The recipe printed by every sweep failure targets this test: it rebuilds the
-// exact run (seed + protocol + schedule), prints the full event trace, and
-// applies the oracle.
+// exact run (seed, protocol, sizing and schedule), prints the full event
+// trace, and applies the oracle.
 
 TEST(CrashScheduleReplay, ReplaysScheduleFromEnvironment) {
-  const char* schedule_text = std::getenv("CAMELOT_SCHEDULE");
-  if (schedule_text == nullptr) {
-    GTEST_SKIP() << "set CAMELOT_SEED / CAMELOT_PROTOCOL / CAMELOT_SCHEDULE to replay";
-  }
-  ExplorerConfig cfg;
-  if (const char* seed = std::getenv("CAMELOT_SEED")) {
-    cfg.seed = std::strtoull(seed, nullptr, 10);
-  }
-  if (const char* protocol = std::getenv("CAMELOT_PROTOCOL")) {
-    auto options = ParseProtocolName(protocol);
-    ASSERT_TRUE(options.ok()) << "CAMELOT_PROTOCOL: " << options.status().message();
-    cfg.variant = ApplyPaxosFFromEnv(*options);
+  if (std::getenv("CAMELOT_SCHEDULE") == nullptr) {
+    GTEST_SKIP() << "set the recipe's CAMELOT_* variables to replay";
   }
   if (std::getenv("CAMELOT_TRACE") != nullptr) {
     SetTraceLevel(TraceLevel::kDebug);  // Protocol-level sim tracing too.
   }
-  const auto schedule = CrashSchedule::Parse(schedule_text);
-  ASSERT_TRUE(schedule.ok()) << schedule.status().message();
-  const RunResult result = CrashExplorer(cfg).Run(*schedule, /*record=*/true);
+  const Result<ExplorerReplay> replay = ReadReplayRecipe(ExplorerConfig{});
+  ASSERT_TRUE(replay.ok()) << replay.status().message();
+  const RunResult result = CrashExplorer(replay->config).Run(replay->plan, /*record=*/true);
   for (const std::string& line : result.trace) {
     std::printf("%s\n", line.c_str());
   }
   EXPECT_TRUE(result.ok) << result.Explain() << "  replay: " << result.replay;
+}
+
+// The recipe's tokens, unquoted: "A=1 B='x'" -> {A: 1, B: x}.
+std::map<std::string, std::string> RecipeTokens(const std::string& recipe) {
+  std::map<std::string, std::string> tokens;
+  size_t pos = 0;
+  while (pos < recipe.size()) {
+    size_t end = recipe.find(' ', pos);
+    if (end == std::string::npos) {
+      end = recipe.size();
+    }
+    const std::string token = recipe.substr(pos, end - pos);
+    const size_t eq = token.find('=');
+    std::string value = token.substr(eq + 1);
+    if (value.size() >= 2 && value.front() == '\'' && value.back() == '\'') {
+      value = value.substr(1, value.size() - 2);
+    }
+    tokens[token.substr(0, eq)] = value;
+    pos = end + 1;
+  }
+  return tokens;
+}
+
+// A recipe rebuilds its run even when a caller resized the workload: a
+// 4-transfer NBC run that crashes at the fourth commit force (a hit the
+// default 3 transfers never reach) replays from its recipe alone to the
+// identical failpoint trace.
+TEST(CrashScheduleReplay, RecipeRebuildsResizedRun) {
+  ExplorerConfig cfg = Config(CommitOptions::NonBlocking());
+  cfg.transfers = 4;
+  const auto schedule = CrashSchedule::Parse("tm.nbc.commit_force.after@0#4=crash");
+  ASSERT_TRUE(schedule.ok());
+  const RunResult original = CrashExplorer(cfg).Run(*schedule, /*record=*/true);
+  bool crashed = false;
+  for (const std::string& line : original.trace) {
+    crashed = crashed || line.find("tm.nbc.commit_force.after@0#4 !crash") != std::string::npos;
+  }
+  EXPECT_TRUE(crashed) << "the fourth transfer never reached its commit force";
+  EXPECT_EQ(original.replay,
+            "CAMELOT_SEED=1 CAMELOT_PROTOCOL=nbc CAMELOT_TRANSFERS=4 "
+            "CAMELOT_SCHEDULE='tm.nbc.commit_force.after@0#4=crash'");
+
+  const std::map<std::string, std::string> tokens = RecipeTokens(original.replay);
+  const Result<ExplorerReplay> replay =
+      ReadReplayRecipe(ExplorerConfig{}, [&tokens](const char* name) -> const char* {
+        const auto it = tokens.find(name);
+        return it == tokens.end() ? nullptr : it->second.c_str();
+      });
+  ASSERT_TRUE(replay.ok()) << replay.status().message();
+  const RunResult rerun = CrashExplorer(replay->config).Run(replay->plan, /*record=*/true);
+  EXPECT_EQ(rerun.replay, original.replay);
+  EXPECT_EQ(rerun.trace, original.trace) << "the recipe did not rebuild the run";
+
+  // A default-sized run's recipe carries no sizing tokens.
+  EXPECT_EQ(CrashExplorer(Config(CommitOptions::NonBlocking())).Run(*schedule).replay,
+            "CAMELOT_SEED=1 CAMELOT_PROTOCOL=nbc "
+            "CAMELOT_SCHEDULE='tm.nbc.commit_force.after@0#4=crash'");
 }
 
 }  // namespace

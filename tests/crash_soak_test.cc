@@ -28,7 +28,7 @@ void ReportFailures(const std::vector<SweepFailure>& failures) {
   }
   std::FILE* artifact = std::fopen(ArtifactPath().c_str(), "a");
   for (const SweepFailure& f : failures) {
-    ADD_FAILURE() << "schedule " << f.schedule.ToString() << " violated the oracle:\n"
+    ADD_FAILURE() << "schedule " << f.plan.schedule.ToString() << " violated the oracle:\n"
                   << f.result.Explain() << "  replay: " << f.result.replay;
     if (artifact != nullptr) {
       std::fprintf(artifact, "%s\n", f.result.replay.c_str());

@@ -95,17 +95,17 @@ TEST(HistoryRecorderTest, AbortedTransactionReadsAreRecordedButBenign) {
   world.AddServer(0, "vault")->CreateObjectForSetup("obj", EncodeInt64(42));
 
   AppClient app(world.site(0));
-  auto aborted = world.RunSync([](AppClient& app) -> Async<bool> {
-    auto begin = co_await app.Begin();
+  auto aborted = world.RunSync([](AppClient& client) -> Async<bool> {
+    auto begin = co_await client.Begin();
     if (!begin.ok()) {
       co_return false;
     }
-    auto v = co_await app.ReadInt(*begin, "vault", "obj");
+    auto v = co_await client.ReadInt(*begin, "vault", "obj");
     if (!v.ok()) {
       co_return false;
     }
-    (void)co_await app.WriteInt(*begin, "vault", "obj", *v + 1);
-    co_await app.Abort(*begin);
+    (void)co_await client.WriteInt(*begin, "vault", "obj", *v + 1);
+    co_await client.Abort(*begin);
     co_return true;
   }(app));
   ASSERT_TRUE(aborted.value_or(false));
@@ -125,10 +125,10 @@ TEST(HistoryRecorderTest, AbortedTransactionReadsAreRecordedButBenign) {
   EXPECT_EQ(report.aborted, 1u);
   EXPECT_EQ(report.committed, 0u);
   // The forward image survived the undo: a fresh reader sees 42 again.
-  auto value = world.RunSync([](AppClient& app) -> Async<int64_t> {
-    auto begin = co_await app.Begin();
-    auto v = co_await app.ReadInt(*begin, "vault", "obj");
-    co_await app.Commit(*begin);
+  auto value = world.RunSync([](AppClient& client) -> Async<int64_t> {
+    auto begin = co_await client.Begin();
+    auto v = co_await client.ReadInt(*begin, "vault", "obj");
+    co_await client.Commit(*begin);
     co_return v.value_or(-1);
   }(app));
   EXPECT_EQ(value.value_or(-1), 42);
@@ -141,16 +141,16 @@ TEST(HistoryRecorderTest, RecoveryReplayDoesNotDoubleRecord) {
 
   AppClient app(world.site(1));  // Remote client: commits span both sites.
   for (int i = 0; i < 3; ++i) {
-    auto st = world.RunSync([](AppClient& app, int64_t v) -> Async<Status> {
-      auto begin = co_await app.Begin();
+    auto st = world.RunSync([](AppClient& client, int64_t v) -> Async<Status> {
+      auto begin = co_await client.Begin();
       if (!begin.ok()) {
         co_return begin.status();
       }
-      Status w = co_await app.WriteInt(*begin, "vault", "obj", v);
+      Status w = co_await client.WriteInt(*begin, "vault", "obj", v);
       if (!w.ok()) {
         co_return w;
       }
-      co_return co_await app.Commit(*begin);
+      co_return co_await client.Commit(*begin);
     }(app, i + 1));
     ASSERT_TRUE(st.has_value() && st->ok()) << "transfer " << i;
   }
@@ -170,10 +170,10 @@ TEST(HistoryRecorderTest, RecoveryReplayDoesNotDoubleRecord) {
 
   // The history spans the restart and still replays serializably, and a
   // post-restart read extends it consistently.
-  auto value = world.RunSync([](AppClient& app) -> Async<int64_t> {
-    auto begin = co_await app.Begin();
-    auto v = co_await app.ReadInt(*begin, "vault", "obj");
-    co_await app.Commit(*begin);
+  auto value = world.RunSync([](AppClient& client) -> Async<int64_t> {
+    auto begin = co_await client.Begin();
+    auto v = co_await client.ReadInt(*begin, "vault", "obj");
+    co_await client.Commit(*begin);
     co_return v.value_or(-1);
   }(app));
   EXPECT_EQ(value.value_or(-1), 3);

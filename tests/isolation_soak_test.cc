@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/harness/bank_workload.h"
+#include "src/harness/crash_explorer.h"
 #include "src/harness/isolation_oracle.h"
 #include "src/harness/nemesis.h"
 #include "src/harness/replay.h"
@@ -31,24 +32,6 @@ namespace {
 std::string ArtifactPath() {
   const char* dir = std::getenv("CAMELOT_ARTIFACT_DIR");
   return (dir != nullptr ? std::string(dir) + "/" : std::string()) + "isolation_soak_failures.txt";
-}
-
-// Tight protocol timers (the explorer tuning): chaos rounds resolve in
-// seconds of virtual time and stay bit-deterministic.
-WorldConfig ChaosWorldConfig(uint64_t seed) {
-  WorldConfig w;
-  w.site_count = 3;
-  w.seed = seed;
-  w.net.send_jitter_mean = 0;
-  w.net.stall_probability = 0;
-  w.net.receive_skew_mean = 0;
-  w.tranman.outcome_timeout = Usec(400000);
-  w.tranman.retry_interval = Usec(300000);
-  w.tranman.takeover_backoff = Usec(300000);
-  w.tranman.orphan_check_interval = Sec(1.0);
-  w.ipc.rpc_timeout = Sec(1.5);
-  w.server.lock_wait_timeout = Sec(1.0);
-  return w;
 }
 
 void ReportRoundFailure(const std::string& label, const std::vector<std::string>& violations,
@@ -88,7 +71,9 @@ TEST(IsolationSoak, BankWorkloadUnderChaosAllVariants) {
   int rounds_run = 0;
   for (const Variant& variant : kVariants) {
     for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-      World world(ChaosWorldConfig(seed * 131 + 7));
+      // The explorer tuning: chaos rounds resolve in seconds of virtual time
+      // and stay bit-deterministic.
+      World world(ExplorerWorldConfig(/*site_count=*/3, seed * 131 + 7));
       world.history().set_enabled(true);
       BankWorkloadConfig bank;
       bank.options = variant.options;

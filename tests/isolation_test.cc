@@ -157,16 +157,16 @@ TEST(IsolationMutationTest, LeakedUndoIsDetectedAsReadOfAborted) {
 
   AppClient app(world.site(0));
   // Transaction 1: write 43, then abort — the armed drop skips the undo.
-  world.RunSync([](AppClient& app) -> Async<Status> {
-    auto begin = co_await app.Begin();
-    (void)co_await app.WriteInt(*begin, "vault", "obj", 43);
-    co_return co_await app.Abort(*begin);
+  world.RunSync([](AppClient& client) -> Async<Status> {
+    auto begin = co_await client.Begin();
+    (void)co_await client.WriteInt(*begin, "vault", "obj", 43);
+    co_return co_await client.Abort(*begin);
   }(app));
   // Transaction 2: read; with the leaked image this observes 43.
-  auto observed = world.RunSync([](AppClient& app) -> Async<int64_t> {
-    auto begin = co_await app.Begin();
-    auto v = co_await app.ReadInt(*begin, "vault", "obj");
-    co_await app.Commit(*begin);
+  auto observed = world.RunSync([](AppClient& client) -> Async<int64_t> {
+    auto begin = co_await client.Begin();
+    auto v = co_await client.ReadInt(*begin, "vault", "obj");
+    co_await client.Commit(*begin);
     co_return v.value_or(-1);
   }(app));
   world.RunUntilIdle();

@@ -17,7 +17,6 @@
 
 #include "src/harness/crash_explorer.h"
 #include "src/harness/parallel.h"
-#include "src/harness/partition_explorer.h"
 
 namespace camelot {
 namespace {
@@ -40,7 +39,7 @@ CrashSweepOutcome RunCrashSweep(int threads) {
   const std::vector<SweepFailure> failures =
       explorer.ExhaustiveSingleCrashSweep(/*max_hits_per_point=*/1, &out.runs);
   for (const SweepFailure& f : failures) {
-    out.schedules.push_back(f.schedule.ToString());
+    out.schedules.push_back(f.plan.schedule.ToString());
     out.replays.push_back(f.result.replay);
     for (const std::string& v : f.result.violations) {
       out.violations.push_back(v);
@@ -75,7 +74,7 @@ TEST(ParallelSweepTest, RandomCrashSweepIdenticalAcrossThreadCounts) {
     std::vector<std::string> out;
     for (const SweepFailure& f :
          explorer.RandomSweep(/*rng_seed=*/99, /*rounds=*/6, /*max_faults=*/2, &runs)) {
-      out.push_back(f.schedule.ToString() + " => " + f.result.replay);
+      out.push_back(f.plan.schedule.ToString() + " => " + f.result.replay);
     }
     out.push_back("runs=" + std::to_string(runs));
     return out;
@@ -87,16 +86,16 @@ TEST(ParallelSweepTest, RandomCrashSweepIdenticalAcrossThreadCounts) {
 
 TEST(ParallelSweepTest, RandomNemesisSweepIdenticalAcrossThreadCounts) {
   auto run = [](int threads) {
-    PartitionExplorerConfig config;
+    ExplorerConfig config = PartitionStudy();
     config.seed = 5;
     config.transfers = 2;
     config.sweep_threads = threads;
-    PartitionExplorer explorer(config);
+    CrashExplorer explorer(config);
     int runs = 0;
     std::vector<std::string> out;
-    for (const PartitionSweepFailure& f :
+    for (const SweepFailure& f :
          explorer.RandomNemesisSweep(/*rng_seed=*/123, /*rounds=*/4, &runs)) {
-      out.push_back(f.label + " => " + f.result.replay);
+      out.push_back(f.plan.script.ToString() + " => " + f.result.replay);
       for (const std::string& v : f.result.violations) {
         out.push_back(v);
       }

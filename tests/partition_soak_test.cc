@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/harness/partition_explorer.h"
+#include "src/harness/crash_explorer.h"
 #include "src/tranman/local_api.h"
 
 namespace camelot {
@@ -24,13 +24,13 @@ std::string ArtifactPath() {
   return (dir != nullptr ? std::string(dir) + "/" : std::string()) + "partition_soak_failures.txt";
 }
 
-void ReportFailures(const std::vector<PartitionSweepFailure>& failures) {
+void ReportFailures(const std::vector<SweepFailure>& failures) {
   if (failures.empty()) {
     return;
   }
   std::FILE* artifact = std::fopen(ArtifactPath().c_str(), "a");
-  for (const PartitionSweepFailure& f : failures) {
-    ADD_FAILURE() << f.label << " (" << f.script.ToString() << ") violated the oracle:\n"
+  for (const SweepFailure& f : failures) {
+    ADD_FAILURE() << "script '" << f.plan.script.ToString() << "' violated the oracle:\n"
                   << f.result.Explain() << "  replay: " << f.result.replay;
     if (artifact != nullptr) {
       std::fprintf(artifact, "%s\n", f.result.replay.c_str());
@@ -46,12 +46,12 @@ TEST(PartitionSoak, ExhaustiveSweepAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 27; ++seed) {
     for (const CommitOptions& options :
          {CommitOptions::Optimized(), CommitOptions::NonBlocking(), CommitOptions::Paxos(1)}) {
-      PartitionExplorerConfig cfg;
+      ExplorerConfig cfg = PartitionStudy();
       cfg.seed = seed;
       cfg.variant = options;
       cfg.transfers = 6;
       int runs = 0;
-      ReportFailures(PartitionExplorer(cfg).ExhaustiveSinglePartitionSweep(&runs));
+      ReportFailures(CrashExplorer(cfg).ExhaustiveSinglePartitionSweep(&runs));
       total_runs += runs;
     }
   }
@@ -65,11 +65,11 @@ TEST(PartitionSoak, ExhaustiveSweepIntermediateVariants) {
   int total_runs = 0;
   for (const CommitOptions& options :
        {CommitOptions::Unoptimized(), CommitOptions::Intermediate()}) {
-    PartitionExplorerConfig cfg;
+    ExplorerConfig cfg = PartitionStudy();
     cfg.variant = options;
     cfg.transfers = 6;
     int runs = 0;
-    ReportFailures(PartitionExplorer(cfg).ExhaustiveSinglePartitionSweep(&runs));
+    ReportFailures(CrashExplorer(cfg).ExhaustiveSinglePartitionSweep(&runs));
     total_runs += runs;
   }
   std::printf("partition soak: %d intermediate-variant runs\n", total_runs);
@@ -81,12 +81,12 @@ TEST(PartitionSoak, RandomMultiFaultNemesisScripts) {
   for (uint64_t seed = 1; seed <= 15; ++seed) {
     for (const CommitOptions& options :
          {CommitOptions::Optimized(), CommitOptions::NonBlocking(), CommitOptions::Paxos(1)}) {
-      PartitionExplorerConfig cfg;
+      ExplorerConfig cfg = PartitionStudy();
       cfg.seed = seed;
       cfg.variant = options;
       int runs = 0;
       ReportFailures(
-          PartitionExplorer(cfg).RandomNemesisSweep(/*rng_seed=*/seed * 6271, /*rounds=*/90, &runs));
+          CrashExplorer(cfg).RandomNemesisSweep(/*rng_seed=*/seed * 6271, /*rounds=*/90, &runs));
       total_runs += runs;
     }
   }

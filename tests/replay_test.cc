@@ -4,9 +4,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "src/harness/crash_explorer.h"
 #include "src/harness/history.h"
 
 namespace camelot {
@@ -55,17 +57,46 @@ TEST(ReplayRecipeTest, PaxosPrefixCarriesF) {
             "CAMELOT_SEED=11 CAMELOT_PROTOCOL=paxos CAMELOT_F=2 CAMELOT_SCHEDULE='x'");
 }
 
-TEST(ReplayRecipeTest, ApplyPaxosFFromEnvOverridesParsedDefault) {
-  setenv("CAMELOT_F", "2", 1);
+TEST(ReplayRecipeTest, ReadReplayRecipeAppliesPaxosF) {
+  std::map<std::string, std::string> recipe = {{"CAMELOT_PROTOCOL", "paxos"}, {"CAMELOT_F", "2"}};
+  const auto lookup = [&recipe](const char* name) -> const char* {
+    const auto it = recipe.find(name);
+    return it == recipe.end() ? nullptr : it->second.c_str();
+  };
   auto parsed = ParseProtocolName("paxos");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->paxos_f, 1u);  // Parse default: smallest non-degenerate F.
-  EXPECT_EQ(ApplyPaxosFFromEnv(*parsed).paxos_f, 2u);
-  // Non-paxos options pass through untouched even with CAMELOT_F set.
-  EXPECT_EQ(ApplyPaxosFFromEnv(CommitOptions::NonBlocking()).protocol,
-            CommitProtocol::kNonBlocking);
-  unsetenv("CAMELOT_F");
-  EXPECT_EQ(ApplyPaxosFFromEnv(*parsed).paxos_f, 1u);  // No env: keep the parsed F.
+  Result<ExplorerReplay> replay = ReadReplayRecipe(ExplorerConfig{}, lookup);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->config.Options().paxos_f, 2u);
+  // Non-paxos protocols pass through untouched even with CAMELOT_F set.
+  recipe["CAMELOT_PROTOCOL"] = "nbc";
+  replay = ReadReplayRecipe(ExplorerConfig{}, lookup);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->config.Options().protocol, CommitProtocol::kNonBlocking);
+  recipe = {{"CAMELOT_PROTOCOL", "paxos"}};
+  replay = ReadReplayRecipe(ExplorerConfig{}, lookup);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->config.Options().paxos_f, 1u);  // No F: keep the parsed F.
+}
+
+TEST(ReplayRecipeTest, ReadReplayRecipeRejectsBadTokens) {
+  std::map<std::string, std::string> recipe = {{"CAMELOT_SITES", "0"}};
+  const auto lookup = [&recipe](const char* name) -> const char* {
+    const auto it = recipe.find(name);
+    return it == recipe.end() ? nullptr : it->second.c_str();
+  };
+  EXPECT_FALSE(ReadReplayRecipe(ExplorerConfig{}, lookup).ok());
+  // The partition study's ring needs vaults 1 and 2.
+  recipe = {{"CAMELOT_SITES", "2"}};
+  EXPECT_TRUE(ReadReplayRecipe(ExplorerConfig{}, lookup).ok());
+  EXPECT_FALSE(ReadReplayRecipe(PartitionStudy(), lookup).ok());
+  recipe = {{"CAMELOT_SCHEDULE", "tm.prepared@0#1=explode"}};
+  EXPECT_FALSE(ReadReplayRecipe(ExplorerConfig{}, lookup).ok());
+  recipe = {{"CAMELOT_NEMESIS", "@1=explode"}};
+  EXPECT_FALSE(ReadReplayRecipe(PartitionStudy(), lookup).ok());
+  recipe = {{"CAMELOT_PROTOCOL", "3pc"}};
+  EXPECT_FALSE(ReadReplayRecipe(ExplorerConfig{}, lookup).ok());
 }
 
 TEST(ReplayRecipeTest, FourVariantPrefixAndRecipe) {
