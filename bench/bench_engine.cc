@@ -29,16 +29,17 @@
 //
 // Flags: --quick (shorter runs, used by the CI perf smoke job) and
 // --json=PATH (write the machine-readable results; also always printed on a
-// single trailing "JSON: {...}" line). scripts/compare_bench_engine.py gates
-// CI on events/sec regressions vs the committed BENCH_engine.json baseline.
+// single trailing "JSON: {...}" line; see bench_json.h).
+// scripts/compare_bench.py gates CI on events/sec regressions vs the
+// committed BENCH_engine.json baseline.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "src/base/rng.h"
 #include "src/harness/crash_explorer.h"
 #include "src/harness/experiments.h"
@@ -255,42 +256,16 @@ double CalibrationItersPerSec() {
   return static_cast<double>(iters) / dt;
 }
 
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
-
-std::string JsonLine(const std::vector<Metric>& metrics, bool quick) {
-  std::string out = "{\"bench\":\"engine\",\"quick\":";
-  out += quick ? "true" : "false";
-  out += ",\"host_cores\":" + std::to_string(std::thread::hardware_concurrency());
-  for (const Metric& m : metrics) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), ",\"%s\":%.1f", m.name.c_str(), m.value);
-    out += buf;
-  }
-  out += "}";
-  return out;
-}
-
 }  // namespace
 }  // namespace camelot
 
 int main(int argc, char** argv) {
   using namespace camelot;
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 2;
-    }
+  BenchFlags flags;
+  if (!ParseBenchFlags(argc, argv, &flags)) {
+    return 2;
   }
+  const bool quick = flags.quick;
 
   const uint64_t scale = quick ? 1 : 4;
   std::vector<Metric> metrics;
@@ -300,6 +275,8 @@ int main(int argc, char** argv) {
   };
 
   std::printf("=== Engine benchmarks (%s) ===\n\n", quick ? "quick" : "full");
+
+  add("host_cores", std::thread::hardware_concurrency(), "cores");
 
   const double calib = add("calibration_iters_per_sec", CalibrationItersPerSec(), "iters/s");
 
@@ -354,16 +331,5 @@ int main(int argc, char** argv) {
   std::printf("normalized post/drain: %.3f events per 1k calibration iters\n",
               1000.0 * pd_ladder / calib);
 
-  const std::string json = JsonLine(metrics, quick);
-  if (!json_path.empty()) {
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fprintf(f, "%s\n", json.c_str());
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
-  std::printf("\nJSON: %s\n", json.c_str());
-  return 0;
+  return EmitJson("engine", flags, metrics) ? 0 : 1;
 }

@@ -19,27 +19,21 @@
 // Everything here is measured in VIRTUAL time, so the numbers are
 // deterministic for a given seed and move only when the modeled system
 // changes — no host-speed calibration is needed. Flags: --quick (fewer
-// variants, used by the CI perf smoke job) and --json=PATH.
-// scripts/compare_bench_overload.py gates CI on goodput regressions vs the
-// committed BENCH_overload.json baseline.
+// variants, used by the CI perf smoke job) and --json=PATH (see
+// bench_json.h). scripts/compare_bench.py gates CI on goodput regressions vs
+// the committed BENCH_overload.json baseline.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "src/harness/overload_oracle.h"
 #include "src/harness/replay.h"
 #include "src/stats/table.h"
 
 namespace camelot {
 namespace {
-
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
 
 // JSON keys must not contain '-': "2pc-unopt" -> "2pc_unopt".
 std::string KeyName(std::string name) {
@@ -51,35 +45,16 @@ std::string KeyName(std::string name) {
   return name;
 }
 
-std::string JsonLine(const std::vector<Metric>& metrics, bool quick) {
-  std::string out = "{\"bench\":\"overload\",\"quick\":";
-  out += quick ? "true" : "false";
-  for (const Metric& m : metrics) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), ",\"%s\":%.2f", m.name.c_str(), m.value);
-    out += buf;
-  }
-  out += "}";
-  return out;
-}
-
 }  // namespace
 }  // namespace camelot
 
 int main(int argc, char** argv) {
   using namespace camelot;
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 2;
-    }
+  BenchFlags flags;
+  if (!ParseBenchFlags(argc, argv, &flags)) {
+    return 2;
   }
+  const bool quick = flags.quick;
 
   std::vector<Metric> metrics;
   auto add = [&metrics](const std::string& name, double value, const char* unit) {
@@ -154,16 +129,8 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  const std::string json = JsonLine(metrics, quick);
-  if (!json_path.empty()) {
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fprintf(f, "%s\n", json.c_str());
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
+  if (!EmitJson("overload", flags, metrics)) {
+    return 1;
   }
-  std::printf("\nJSON: %s\n", json.c_str());
   return all_ok ? 0 : 1;
 }

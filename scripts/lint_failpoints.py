@@ -9,8 +9,9 @@ linter extracts both sides and fails on arms that can never fire.
 Registered points (scanned from src/**/*.cc):
   - Eval("name"), AtPoint("name"), AtWritePoint("name"), AtTransition("name")
     literals.
-  - ForceAt("name", ...) / DirectForceAt("name", ...) literals, which the
-    runtime expands to "name.before" and "name.after" (src/tranman/tranman.cc).
+  - ForceAt("name", ...) and PrepareCoordinator(..., "name") literals, which
+    the runtime expands to "name.before" and "name.after"
+    (src/tranman/tranman.cc).
   - tm.send.<TYPE> for every message-type string in TmMsgTypeName
     (src/tranman/messages.cc); the send path builds these dynamically.
 
@@ -37,7 +38,7 @@ import sys
 from pathlib import Path
 
 EVAL_RE = re.compile(r'\b(?:Eval|AtPoint|AtWritePoint|AtTransition)\(\s*"([^"]+)"')
-FORCE_RE = re.compile(r'\b(?:ForceAt|DirectForceAt)\(\s*"([^"]+)"')
+FORCE_RE = re.compile(r'\b(?:ForceAt\(\s*|PrepareCoordinator\([^"();]*)"([^"]+)"')
 ARM_RE = re.compile(r'\bArm\(\s*"([^"]+)"')
 MSG_TYPE_RE = re.compile(r'return\s+"([A-Z][A-Z-]*)";')
 # One schedule entry or trigger inside any string literal. The name must look

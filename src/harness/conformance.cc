@@ -78,6 +78,9 @@ ConformanceReport RunConformanceScenario(const ConformanceScenario& scenario,
   // COMMIT-ACK, the coordinator's End record) has fully landed in the ledger.
   report.txn_status = timed.has_value() ? timed->status : UnavailableError("txn never finished");
   report.measured_ms = timed.has_value() ? timed->ms : 0;
+  if (world.failpoints().recording()) {
+    report.trace = world.failpoints().trace();
+  }
 
   report.predicted = ExpectedMinimalTxnCounts(scenario.options, scenario.kind,
                                               scenario.subordinates, scenario.outcome);

@@ -21,6 +21,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "src/analysis/static_analysis.h"
 #include "src/harness/world.h"
@@ -49,6 +50,9 @@ struct ConformanceReport {
   std::string spec_diff;  // Spec fold vs hand protocol vector; empty iff equal.
   double predicted_ms = 0;
   double measured_ms = 0;
+  // The measured transaction's failpoint trace (virtual µs included); filled
+  // only when `prepare` turned recording on.
+  std::vector<std::string> trace;
 
   bool ok() const {
     return counts_match && spec_fold_ok && latency_ok && txn_status.ok();
@@ -61,7 +65,8 @@ struct ConformanceReport {
 // transaction (steady state), clears the ledger, drives the scenario's
 // minimal transaction to quiescence, and compares. `prepare` (optional) runs
 // after the warmup and ledger clear, right before the measured transaction —
-// mutation tests arm failpoints there.
+// mutation tests arm failpoints there, and a prepare that turns failpoint
+// recording on gets the measured transaction's trace in the report.
 ConformanceReport RunConformanceScenario(
     const ConformanceScenario& scenario,
     const std::function<void(World&)>& prepare = nullptr);

@@ -20,6 +20,36 @@ Bytes EncodeTid(const Tid& tid) {
   return w.Take();
 }
 
+// Coordinator: total time to wait for votes before aborting.
+constexpr SimDuration kVoteTimeout = Sec(5.0);
+// How long a delayed ("piggybacked") commit-ack waits before riding a forced
+// batch (the ack is only ever sent after the commit record is durable).
+constexpr SimDuration kAckDelay = Usec(50000);
+// Orphan detection: unreachable or unknown answers before an active
+// subordinate family aborts itself.
+constexpr int kMaxOrphanProbes = 3;
+// 2PC blocked subordinate: status-query attempts before parking (it stays
+// receptive; a recovered coordinator's SITE-UP beacon wakes it).
+constexpr int kMaxStatusRounds = 10;
+// Silence-driven waits (blocked-subordinate status queries, takeover retry
+// pauses, phase-2 and vote retransmits) grow by kBackoffMultiplier per
+// consecutive silent round, capped at the matching *Max, and jittered by
+// +/- kBackoffJitter so a partitioned cohort does not retry in lockstep.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.2;
+constexpr SimDuration kRetryIntervalMax = Sec(4.0);
+constexpr SimDuration kOutcomeTimeoutMax = Sec(6.0);
+constexpr SimDuration kTakeoverBackoffMax = Sec(6.0);
+// Stuck-family watchdog: a family still undecided this long after entering
+// a commit flow is surfaced in counters().stuck_families (observation only;
+// the protocols keep running).
+constexpr SimDuration kStuckFamilyDeadline = Sec(60.0);
+// Bound on each destination's off-path piggyback queue; the oldest message
+// is dropped (counters().offpath_dropped) when a long partition backs it up.
+// Always safe: off-path messages are retried or re-derived by protocol
+// timeouts.
+constexpr size_t kOffpathQueueLimit = 256;
+
 }  // namespace
 
 TranMan::TranMan(Site& site, Network& net, ComMan& comman, StableLog& log, TranManConfig config)
@@ -93,6 +123,19 @@ void TranMan::RecordOutcome(const FamilyId& family, bool committed) {
   }
 }
 
+bool TranMan::Decide(Family* fam, TmDecision decision) {
+  const bool commit = decision == TmDecision::kCommit;
+  ClearBlocked(fam);
+  // Each point name stays a literal argument, as scripts/lint_failpoints.py
+  // registers them.
+  if (commit ? AtTransition("tm.committed") : AtTransition("tm.aborted")) {
+    return false;
+  }
+  fam->state = commit ? TmTxnState::kCommitted : TmTxnState::kAborted;
+  RecordOutcome(fam->top.family, commit);
+  return true;
+}
+
 void TranMan::RetireFamily(const FamilyId& id) {
   auto it = families_.find(id);
   if (it == families_.end()) {
@@ -104,13 +147,6 @@ void TranMan::RetireFamily(const FamilyId& id) {
   graveyard_.push_back(std::move(it->second));
   families_.erase(it);
   comman_.Forget(id);
-}
-
-Async<bool> TranMan::ForceHoldingWorker(Lsn lsn) {
-  co_await pool_.Acquire();
-  const bool durable = co_await log_.Force(lsn);
-  pool_.Release();
-  co_return durable;
 }
 
 Async<bool> TranMan::AtForcePoint(std::string point, uint32_t inc) {
@@ -127,8 +163,8 @@ Async<bool> TranMan::AtForcePoint(std::string point, uint32_t inc) {
 namespace {
 
 // Maps a force failpoint name to the {role, phase} the static analysis
-// predicts under. Every protocol force flows through ForceAt/DirectForceAt,
-// so this table is the single attribution point.
+// predicts under. Every protocol force flows through ForceAt, so this table
+// is the single attribution point.
 struct ForceAttribution {
   const char* role;
   const char* phase;
@@ -153,31 +189,20 @@ ForceAttribution AttributeForce(std::string_view point) {
 
 }  // namespace
 
-Async<bool> TranMan::ForceAt(const char* point, const FamilyId& family, Lsn lsn) {
+Async<bool> TranMan::ForceAt(const char* point, const FamilyId& family, Lsn lsn,
+                             bool hold_worker) {
   const uint32_t inc = site_.incarnation();
   if (!co_await AtForcePoint(std::string(point) + ".before", inc)) {
     co_return false;
   }
-  if (!co_await ForceHoldingWorker(lsn)) {
-    co_return false;
+  if (hold_worker) {
+    co_await pool_.Acquire();
   }
-  if (!co_await AtForcePoint(std::string(point) + ".after", inc)) {
-    co_return false;
+  const bool durable = co_await log_.Force(lsn);
+  if (hold_worker) {
+    pool_.Release();
   }
-  if (!Dead(inc)) {
-    const ForceAttribution attr = AttributeForce(point);
-    site_.cost_recorder().Record(family, attr.role, attr.phase, CostPrimitive::kLogForce);
-    co_return true;
-  }
-  co_return false;
-}
-
-Async<bool> TranMan::DirectForceAt(const char* point, const FamilyId& family, Lsn lsn) {
-  const uint32_t inc = site_.incarnation();
-  if (!co_await AtForcePoint(std::string(point) + ".before", inc)) {
-    co_return false;
-  }
-  if (!co_await log_.Force(lsn)) {
+  if (!durable) {
     co_return false;
   }
   if (!co_await AtForcePoint(std::string(point) + ".after", inc)) {
@@ -259,24 +284,15 @@ Status TranMan::HeuristicResolve(const FamilyId& family, TmDecision decision) {
   }
   ++counters_.heuristic_resolutions;
   fam->heuristic = true;
-  if (decision == TmDecision::kCommit) {
-    // Deliver a synthetic COMMIT to the waiting subordinate coroutine; the
-    // normal path writes the commit record and acks the (absent) coordinator.
-    TmMsg commit;
-    commit.type = TmMsgType::kCommit;
-    commit.tid = fam->top;
-    commit.from = site_.id();
-    if (fam->inbox && !fam->inbox->closed()) {
-      fam->inbox->Send(std::move(commit));
-    }
-  } else {
-    TmMsg abort;
-    abort.type = TmMsgType::kAbort;
-    abort.tid = fam->top;
-    abort.from = site_.id();
-    if (fam->inbox && !fam->inbox->closed()) {
-      fam->inbox->Send(std::move(abort));
-    }
+  // Deliver a synthetic COMMIT or ABORT to the waiting subordinate coroutine;
+  // the normal path writes the outcome record (and, on commit, acks the
+  // absent coordinator).
+  TmMsg outcome;
+  outcome.type = decision == TmDecision::kCommit ? TmMsgType::kCommit : TmMsgType::kAbort;
+  outcome.tid = fam->top;
+  outcome.from = site_.id();
+  if (fam->inbox && !fam->inbox->closed()) {
+    fam->inbox->Send(std::move(outcome));
   }
   return OkStatus();
 }
@@ -324,17 +340,15 @@ void TranMan::ClearBlocked(Family* fam) {
 SimDuration TranMan::Backoff(SimDuration base, SimDuration cap, uint64_t attempt) {
   double d = static_cast<double>(base);
   for (uint64_t i = 0; i < attempt && d < static_cast<double>(cap); ++i) {
-    d *= config_.backoff_multiplier;
+    d *= kBackoffMultiplier;
   }
   d = std::min(d, static_cast<double>(cap));
-  if (config_.backoff_jitter > 0) {
-    d *= 1.0 - config_.backoff_jitter + 2.0 * config_.backoff_jitter * rng_.NextDouble();
-  }
+  d *= 1.0 - kBackoffJitter + 2.0 * kBackoffJitter * rng_.NextDouble();
   return std::max<SimDuration>(static_cast<SimDuration>(d), 1);
 }
 
 void TranMan::ArmStuckWatch(Family* fam) {
-  if (fam->watchdog_armed || config_.stuck_family_deadline <= 0) {
+  if (fam->watchdog_armed) {
     return;
   }
   fam->watchdog_armed = true;
@@ -342,7 +356,7 @@ void TranMan::ArmStuckWatch(Family* fam) {
 }
 
 Async<void> TranMan::StuckFamilyWatch(FamilyId family_id, uint32_t inc) {
-  co_await site_.sched().Delay(config_.stuck_family_deadline);
+  co_await site_.sched().Delay(kStuckFamilyDeadline);
   if (Dead(inc)) {
     co_return;
   }
@@ -503,7 +517,7 @@ void TranMan::QueueOffPath(SiteId dst, TmMsg msg) {
   auto& queue = offpath_queue_[dst];
   const bool first = queue.empty();
   queue.push_back(std::move(msg));
-  if (config_.offpath_queue_limit > 0 && queue.size() > config_.offpath_queue_limit) {
+  if (queue.size() > kOffpathQueueLimit) {
     // Drop-oldest: a long partition must not grow this queue without bound.
     // Off-path messages (commit-acks) are re-derived by protocol timeouts,
     // so dropping one costs a retransmit, never correctness.
@@ -640,19 +654,10 @@ Async<void> TranMan::DispatchMsg(TmMsg msg) {
     }
     case TmMsgType::kCommit: {
       Family* fam = FindFamily(msg.tid.family);
-      if (fam == nullptr) {
-        // Already finished and forgotten: the ack must have been lost.
-        co_await HandleCommitForUnknown(std::move(msg));
-        co_return;
-      }
-      if (fam->state == TmTxnState::kCommitted) {
-        TmMsg ack;
-        ack.type = TmMsgType::kCommitAck;
-        ack.tid = msg.tid;
-        SendMsg(msg.from, ack);
-        co_return;
-      }
-      if (fam->state == TmTxnState::kAborted && fam->heuristic) {
+      // Finished and forgotten, or already committed: the coordinator is
+      // still retrying because our ack was lost, so ack again.
+      bool ack = fam == nullptr || fam->state == TmTxnState::kCommitted;
+      if (!ack && fam->state == TmTxnState::kAborted && fam->heuristic) {
         // We guessed ABORT; the real outcome is COMMIT. Record the damage and
         // ack so the coordinator can finish (the data here is already wrong —
         // exactly the risk LU 6.2 accepts).
@@ -660,22 +665,19 @@ Async<void> TranMan::DispatchMsg(TmMsg msg) {
         CTRACE("[%8.1fms] %s HEURISTIC DAMAGE: aborted %s but coordinator committed",
                ToMs(site_.sched().now()), ToString(site_.id()).c_str(),
                ToString(msg.tid).c_str());
-        TmMsg ack;
-        ack.type = TmMsgType::kCommitAck;
-        ack.tid = msg.tid;
-        SendMsg(msg.from, ack);
-        co_return;
-      }
-      if (fam->passive_acceptor && fam->state == TmTxnState::kPrepared) {
+        ack = true;
+      } else if (!ack && fam->passive_acceptor && fam->state == TmTxnState::kPrepared) {
         fam->state = TmTxnState::kCommitted;  // Outcome tombstone (change 4).
-        TmMsg ack;
-        ack.type = TmMsgType::kCommitAck;
-        ack.tid = msg.tid;
-        SendMsg(msg.from, ack);
-        co_return;
-      }
-      if (fam->state == TmTxnState::kPrepared && fam->inbox && !fam->inbox->closed()) {
+        ack = true;
+      } else if (!ack && fam->state == TmTxnState::kPrepared && fam->inbox &&
+                 !fam->inbox->closed()) {
         fam->inbox->Send(std::move(msg));
+      }
+      if (ack) {
+        TmMsg reply;
+        reply.type = TmMsgType::kCommitAck;
+        reply.tid = msg.tid;
+        SendMsg(msg.from, reply);
       }
       co_return;
     }
@@ -889,18 +891,23 @@ Async<RpcResult> TranMan::HandleJoin(const Tid& tid, const std::string& server) 
 
 // --- Server upcalls --------------------------------------------------------------------
 
-Async<ServerVote> TranMan::VoteLocalServers(Family* fam) {
-  if (fam->local_servers.empty()) {
-    co_return ServerVote::kReadOnly;
+Async<std::vector<RpcResult>> TranMan::CallLocalServers(const Family& fam, uint32_t method,
+                                                        const Bytes& body, const Tid& tid) {
+  if (fam.local_servers.empty()) {
+    co_return std::vector<RpcResult>{};
   }
   std::vector<Async<RpcResult>> calls;
-  calls.reserve(fam->local_servers.size());
-  for (const auto& server : fam->local_servers) {
-    calls.push_back(site_.CallLocal(server, kSrvVote, EncodeTidOnly(fam->top),
-                                    RpcContext{site_.id(), fam->top},
+  calls.reserve(fam.local_servers.size());
+  for (const auto& server : fam.local_servers) {
+    calls.push_back(site_.CallLocal(server, method, body, RpcContext{site_.id(), tid},
                                     /*to_data_server=*/false));
   }
-  std::vector<RpcResult> results = co_await JoinAll(site_.sched(), std::move(calls));
+  co_return co_await JoinAll(site_.sched(), std::move(calls));
+}
+
+Async<ServerVote> TranMan::VoteLocalServers(Family* fam) {
+  const std::vector<RpcResult> results =
+      co_await CallLocalServers(*fam, kSrvVote, EncodeTidOnly(fam->top), fam->top);
   bool any_update = false;
   for (const auto& result : results) {
     if (!result.status.ok()) {
@@ -925,19 +932,12 @@ void TranMan::NotifyServersDropLocks(const Family& fam) {
   }
 }
 
-Async<Status> TranMan::CallServersAbort(const Family& fam) {
-  std::vector<Async<RpcResult>> calls;
-  calls.reserve(fam.local_servers.size());
-  for (const auto& server : fam.local_servers) {
-    calls.push_back(site_.CallLocal(server, kSrvAbortFamily, EncodeTidOnly(fam.top),
-                                    RpcContext{site_.id(), fam.top},
-                                    /*to_data_server=*/false));
-  }
-  if (calls.empty()) {
-    co_return OkStatus();
-  }
-  co_await JoinAll(site_.sched(), std::move(calls));
-  co_return OkStatus();
+Async<bool> TranMan::AbortLocally(Family* fam, const char* role) {
+  const uint32_t inc = site_.incarnation();
+  log_.Append(LogRecord::Abort(fam->top));
+  RecordSpool(fam->top.family, role, "abort");
+  co_await CallLocalServers(*fam, kSrvAbortFamily, EncodeTidOnly(fam->top), fam->top);
+  co_return !Dead(inc);
 }
 
 // --- Commit entry point -------------------------------------------------------------------
@@ -976,9 +976,9 @@ Async<RpcResult> TranMan::HandleCommit(const Tid& tid, const CommitOptions& opti
 
   Status status;
   if (subs.empty()) {
-    status = co_await CommitLocalOnly(fam, local_updates);
+    status = co_await CommitLocalOnly(fam, local_updates, {});
   } else if (options.protocol == CommitProtocol::kNonBlocking) {
-    status = co_await CoordinateNonBlocking(fam, options, subs, local_updates);
+    status = co_await CoordinateNonBlocking(fam, subs, local_updates);
   } else if (options.protocol == CommitProtocol::kPaxos) {
     // Acceptor set: min(2F+1, participants) clamped odd, coordinator first.
     uint32_t acceptors = std::min<uint32_t>(2 * options.paxos_f + 1,
@@ -1012,21 +1012,31 @@ Async<RpcResult> TranMan::HandleCommit(const Tid& tid, const CommitOptions& opti
   co_return RpcResult{std::move(status), {}};
 }
 
-Async<Status> TranMan::CommitLocalOnly(Family* fam, bool has_updates) {
+Async<Status> TranMan::CommitLocalOnly(Family* fam, bool has_updates,
+                                       const std::vector<SiteId>& tell) {
   if (has_updates) {
     // Figure 1, event 9: the single log force that commits the transaction.
     const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
-    if (!co_await ForceAt("tm.local.commit_force", fam->top.family, lsn)) {
+    if (!co_await ForceAt("tm.local.commit_force", fam->top.family, lsn, /*hold_worker=*/true)) {
       co_return UnavailableError("crashed during commit force");
     }
   }
-  if (AtTransition("tm.committed")) {
+  if (!Decide(fam, TmDecision::kCommit)) {
     co_return UnavailableError("site crashed");
   }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
   NotifyServersDropLocks(*fam);  // Event 11, off the completion path.
-  RetireFamily(fam->top.family);
+  // Read-only NBC subordinates and Paxos acceptors linger as passive
+  // acceptors: tell them the outcome so their tombstones are right (their
+  // acks do not matter).
+  TmMsg commit;
+  commit.type = TmMsgType::kCommit;
+  commit.tid = fam->top;
+  SendMsgToAll(tell, commit);
+  // NBC keeps its tombstone for late status queries (change 4); the other
+  // variants forget a commit that needed no phase 2 at once.
+  if (fam->protocol != CommitProtocol::kNonBlocking) {
+    RetireFamily(fam->top.family);
+  }
   co_return OkStatus();
 }
 
@@ -1045,23 +1055,16 @@ Async<RpcResult> TranMan::HandleAbort(const Tid& tid) {
 }
 
 Async<void> TranMan::AbortDistributed(Family* fam, const std::vector<SiteId>& notify) {
-  const uint32_t inc = site_.incarnation();
-  // Presumed abort: the abort record is never forced.
-  log_.Append(LogRecord::Abort(fam->top));
-  RecordSpool(fam->top.family, "coord", "abort");
-  co_await CallServersAbort(*fam);
-  if (Dead(inc)) {
+  if (!co_await AbortLocally(fam, "coord")) {
     co_return;
   }
   TmMsg abort;
   abort.type = TmMsgType::kAbort;
   abort.tid = fam->top;
   SendMsgToAll(notify, abort);
-  if (AtTransition("tm.aborted")) {
+  if (!Decide(fam, TmDecision::kAbort)) {
     co_return;
   }
-  fam->state = TmTxnState::kAborted;
-  RecordOutcome(fam->top.family, /*committed=*/false);
   if (fam->protocol != CommitProtocol::kTwoPhase && fam->committing && fam->is_coordinator) {
     // Change 4: NBC (and Paxos) participants keep a tombstone so late status
     // queries see the outcome instead of inferring the wrong one.
@@ -1071,8 +1074,19 @@ Async<void> TranMan::AbortDistributed(Family* fam, const std::vector<SiteId>& no
   }
 }
 
+Status TranMan::ParkInDoubt(Family* fam, uint32_t inc, const char* why) {
+  fam->takeover_round = 0;
+  site_.sched().Spawn(SubordinateWait(fam->top.family, inc));
+  return BlockedError(why);
+}
+
 // --- Two-phase commitment (coordinator) ------------------------------------------------------
 
+// GatherVotes keeps its own receive instead of AwaitFamily: an NBC or Paxos
+// coordinator is already prepared while it gathers votes, so a takeover's
+// COMMIT or ABORT can reach its inbox. This loop drops that message where
+// AwaitFamily would apply it, so moving it onto AwaitFamily would change the
+// protocol, not refactor it (DESIGN.md, "One takeover").
 Async<TranMan::VoteRound> TranMan::GatherVotes(Family* fam, const TmMsg& prepare_template,
                                                const std::vector<SiteId>& subs) {
   const uint32_t inc = site_.incarnation();
@@ -1081,12 +1095,12 @@ Async<TranMan::VoteRound> TranMan::GatherVotes(Family* fam, const TmMsg& prepare
   std::unordered_map<SiteId, TmVote> votes;
 
   SendMsgToAll(subs, prepare_template);
-  const SimTime deadline = site_.sched().now() + config_.vote_timeout;
+  const SimTime deadline = site_.sched().now() + kVoteTimeout;
   bool any_abort = false;
   uint64_t silent_rounds = 0;
   while (!pending.empty() && !any_abort) {
     const SimDuration wait = std::min<SimDuration>(
-        Backoff(config_.retry_interval, config_.retry_interval_max, silent_rounds),
+        Backoff(config_.retry_interval, kRetryIntervalMax, silent_rounds),
         deadline - site_.sched().now());
     if (wait <= 0) {
       break;  // Vote timeout: presume the worst.
@@ -1122,28 +1136,57 @@ Async<TranMan::VoteRound> TranMan::GatherVotes(Family* fam, const TmMsg& prepare
   co_return round;
 }
 
-Async<Status> TranMan::CoordinateTwoPhase(Family* fam, const CommitOptions& options,
-                                          std::vector<SiteId> subs, bool local_updates) {
-  const uint32_t inc = site_.incarnation();
+TmMsg TranMan::BeginCoordinating(Family* fam, const CommitOptions& options,
+                                 const std::vector<SiteId>& subs, uint32_t commit_quorum,
+                                 uint32_t abort_quorum) {
   fam->is_coordinator = true;
   fam->coordinator = site_.id();
-  fam->protocol = CommitProtocol::kTwoPhase;
+  fam->protocol = options.protocol;
   fam->force_sub_commit = options.force_subordinate_commit;
   fam->piggyback_ack = options.piggyback_commit_ack;
   fam->sites.clear();
   fam->sites.push_back(site_.id());
   fam->sites.insert(fam->sites.end(), subs.begin(), subs.end());
+  fam->commit_quorum = commit_quorum;
+  fam->abort_quorum = abort_quorum;
   fam->inbox = std::make_shared<Channel<TmMsg>>(site_.sched());
 
+  // NBC change 1: the prepare message carries the site list and quorum sizes.
   TmMsg prepare;
   prepare.type = TmMsgType::kPrepare;
   prepare.tid = fam->top;
-  prepare.protocol = CommitProtocol::kTwoPhase;
+  prepare.protocol = options.protocol;
   prepare.force_subordinate_commit = options.force_subordinate_commit;
   prepare.piggyback_commit_ack = options.piggyback_commit_ack;
   prepare.sites = fam->sites;
+  prepare.commit_quorum = commit_quorum;
+  prepare.abort_quorum = abort_quorum;
   prepare.deadline = fam->deadline;
+  return prepare;
+}
 
+Async<Status> TranMan::PrepareCoordinator(Family* fam, bool local_updates, const char* point) {
+  // A read-only coordinator skips the force so that a completely read-only
+  // transaction keeps the two-phase critical path (paper, Section 6).
+  if (local_updates) {
+    const Lsn lsn = log_.Append(LogRecord::Prepare(fam->top, site_.id(), fam->sites,
+                                                   fam->protocol, fam->commit_quorum,
+                                                   fam->abort_quorum));
+    if (!co_await ForceAt(point, fam->top.family, lsn, /*hold_worker=*/true)) {
+      co_return UnavailableError("crashed during prepare force");
+    }
+  }
+  if (AtTransition("tm.prepared")) {
+    co_return UnavailableError("site crashed");
+  }
+  fam->state = TmTxnState::kPrepared;
+  co_return OkStatus();
+}
+
+Async<Status> TranMan::CoordinateTwoPhase(Family* fam, const CommitOptions& options,
+                                          std::vector<SiteId> subs, bool local_updates) {
+  const uint32_t inc = site_.incarnation();
+  const TmMsg prepare = BeginCoordinating(fam, options, subs, 0, 0);
   VoteRound votes = co_await GatherVotes(fam, prepare, subs);
   if (Dead(inc)) {
     co_return UnavailableError("site crashed");
@@ -1155,26 +1198,18 @@ Async<Status> TranMan::CoordinateTwoPhase(Family* fam, const CommitOptions& opti
 
   if (votes.update_subs.empty() && !local_updates) {
     // The entire transaction was read-only: commit without writing anything.
-    if (AtTransition("tm.committed")) {
-      co_return UnavailableError("site crashed");
-    }
-    fam->state = TmTxnState::kCommitted;
-    RecordOutcome(fam->top.family, /*committed=*/true);
-    NotifyServersDropLocks(*fam);
-    RetireFamily(fam->top.family);
-    co_return OkStatus();
+    Status status = co_await CommitLocalOnly(fam, /*has_updates=*/false, {});
+    co_return status;
   }
 
   // Commit point: force the commit record listing subordinates needing acks.
   const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, votes.update_subs));
-  if (!co_await ForceAt("tm.2pc.commit_force", fam->top.family, lsn)) {
+  if (!co_await ForceAt("tm.2pc.commit_force", fam->top.family, lsn, /*hold_worker=*/true)) {
     co_return UnavailableError("crashed during commit force");
   }
-  if (AtTransition("tm.committed")) {
+  if (!Decide(fam, TmDecision::kCommit)) {
     co_return UnavailableError("site crashed");
   }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
   NotifyServersDropLocks(*fam);
   // Phase 2 is off the completion path: the application's call returns now.
   site_.sched().Spawn(CoordinatorPhase2(fam->top.family, std::move(votes.update_subs)));
@@ -1199,36 +1234,33 @@ Async<void> TranMan::CoordinatorPhase2(FamilyId family, std::vector<SiteId> upda
   int silent_rounds = 0;
   SendMsgToAll({pending.begin(), pending.end()}, commit);
   while (!pending.empty()) {
+    // Liveness first: Backoff draws jitter from a stream that survives
+    // crashes, so a dead wait must not draw.
     if (Dead(inc) || fam->inbox->closed()) {
       co_return;
     }
-    std::optional<TmMsg> msg;
-    if (silent_rounds < 30) {
-      msg = co_await fam->inbox->ReceiveTimeout(Backoff(
-          config_.retry_interval, config_.retry_interval_max,
-          static_cast<uint64_t>(silent_rounds)));
-    } else {
-      // Park: a subordinate is unreachable. Its recovery will ask us for
-      // status and then ack; we stay receptive without flooding the network.
-      msg = co_await fam->inbox->Receive();
-    }
-    if (Dead(inc)) {
-      co_return;
-    }
-    if (!msg.has_value()) {
-      if (fam->inbox->closed()) {
-        co_return;
-      }
+    // After 30 silent rounds, park: a subordinate is unreachable. Its
+    // recovery will ask us for status and then ack; we stay receptive
+    // without flooding the network.
+    const FamilyWait wait = co_await AwaitFamily(
+        fam, inc,
+        silent_rounds < 30 ? Backoff(config_.retry_interval, kRetryIntervalMax,
+                                     static_cast<uint64_t>(silent_rounds))
+                           : -1);
+    if (wait.kind == FamilyWait::kTimeout) {
       ++silent_rounds;
       if (silent_rounds < 30) {
         SendMsgToAll({pending.begin(), pending.end()}, commit);
       }
       continue;
     }
-    if (msg->type == TmMsgType::kCommitAck) {
-      pending.erase(msg->from);
+    if (wait.kind != FamilyWait::kMessage) {
+      co_return;  // Gone: a decided family gets a COMMIT or ABORT back as a message.
+    }
+    if (wait.msg.type == TmMsgType::kCommitAck) {
+      pending.erase(wait.msg.from);
       silent_rounds = 0;
-    } else if (msg->type == TmMsgType::kSiteUp) {
+    } else if (wait.msg.type == TmMsgType::kSiteUp) {
       silent_rounds = 0;  // Topology changed: resume resending to laggards.
       SendMsgToAll({pending.begin(), pending.end()}, commit);
     }
@@ -1246,48 +1278,20 @@ Async<void> TranMan::CoordinatorPhase2(FamilyId family, std::vector<SiteId> upda
 
 // --- Non-blocking commitment (coordinator) ------------------------------------------------
 
-Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /*options*/,
-                                             std::vector<SiteId> subs, bool local_updates) {
+Async<Status> TranMan::CoordinateNonBlocking(Family* fam, std::vector<SiteId> subs,
+                                             bool local_updates) {
   const uint32_t inc = site_.incarnation();
-  fam->is_coordinator = true;
-  fam->coordinator = site_.id();
-  fam->protocol = CommitProtocol::kNonBlocking;
-  fam->force_sub_commit = false;  // NBC notify phase always uses the optimized form.
-  fam->piggyback_ack = true;
-  fam->sites.clear();
-  fam->sites.push_back(site_.id());
-  fam->sites.insert(fam->sites.end(), subs.begin(), subs.end());
-  const uint32_t n = static_cast<uint32_t>(fam->sites.size());
-  fam->commit_quorum = n / 2 + 1;
-  fam->abort_quorum = n + 1 - fam->commit_quorum;
-  fam->inbox = std::make_shared<Channel<TmMsg>>(site_.sched());
-
+  // NBC's own options, whatever flags the client passed: the notify phase
+  // always uses the optimized form.
+  const uint32_t n = static_cast<uint32_t>(subs.size()) + 1;
+  const uint32_t qc = n / 2 + 1;
+  const TmMsg prepare = BeginCoordinating(fam, CommitOptions::NonBlocking(), subs, qc, n + 1 - qc);
   // Change 5: the coordinator prepares (forces its prepare record, which also
-  // hardens its own update records) BEFORE sending the prepare message. A
-  // read-only coordinator skips this so that a completely read-only
-  // transaction keeps the two-phase critical path (paper, Section 6).
-  if (local_updates) {
-    const Lsn prep_lsn = log_.Append(LogRecord::Prepare(fam->top, site_.id(), fam->sites,
-                                                        CommitProtocol::kNonBlocking,
-                                                        fam->commit_quorum, fam->abort_quorum));
-    if (!co_await ForceAt("tm.nbc.prepare_force", fam->top.family, prep_lsn)) {
-      co_return UnavailableError("crashed during prepare force");
-    }
+  // hardens its own update records) BEFORE sending the prepare message.
+  if (Status prepared = co_await PrepareCoordinator(fam, local_updates, "tm.nbc.prepare_force");
+      !prepared.ok()) {
+    co_return prepared;
   }
-  if (AtTransition("tm.prepared")) {
-    co_return UnavailableError("site crashed");
-  }
-  fam->state = TmTxnState::kPrepared;
-
-  // Change 1: the prepare message carries the site list and quorum sizes.
-  TmMsg prepare;
-  prepare.type = TmMsgType::kPrepare;
-  prepare.tid = fam->top;
-  prepare.protocol = CommitProtocol::kNonBlocking;
-  prepare.sites = fam->sites;
-  prepare.commit_quorum = fam->commit_quorum;
-  prepare.abort_quorum = fam->abort_quorum;
-  prepare.deadline = fam->deadline;
 
   VoteRound votes = co_await GatherVotes(fam, prepare, subs);
   if (Dead(inc)) {
@@ -1302,7 +1306,7 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
   if (votes.update_subs.empty()) {
     // Only this site (at most) made updates: no replication phase is needed,
     // the local commit record alone decides.
-    Status status = co_await CommitLocalOnlyNbc(fam, local_updates, subs);
+    Status status = co_await CommitLocalOnly(fam, local_updates, subs);
     co_return status;
   }
 
@@ -1326,7 +1330,8 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
   const Lsn rep_lsn = log_.Append(LogRecord::Replication(
       fam->top, site_.id(), fam->replicated_epoch, static_cast<uint8_t>(TmDecision::kCommit),
       fam->sites, fam->protocol, fam->commit_quorum, fam->abort_quorum));
-  if (!co_await ForceAt("tm.nbc.replicate_force", fam->top.family, rep_lsn)) {
+  if (!co_await ForceAt("tm.nbc.replicate_force", fam->top.family, rep_lsn,
+                        /*hold_worker=*/true)) {
     co_return UnavailableError("crashed during replication force");
   }
 
@@ -1380,12 +1385,9 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
       readonly_pool.clear();
     }
     if (rounds > config_.max_takeover_rounds) {
-      // Cannot reach a commit quorum (multiple failures / partition). Demote
-      // ourselves to an ordinary blocked participant: the takeover machinery
-      // (ours, or a subordinate's) finishes the job when connectivity returns.
-      fam->takeover_round = 0;
-      site_.sched().Spawn(SubordinateWait(fam->top.family, inc));
-      co_return BlockedError("commit quorum unreachable; transaction left prepared");
+      // Cannot reach a commit quorum (multiple failures / partition): the
+      // takeover machinery (ours, or a subordinate's) finishes the job.
+      co_return ParkInDoubt(fam, inc, "commit quorum unreachable; transaction left prepared");
     }
     std::vector<SiteId> missing;
     for (SiteId s : targets) {
@@ -1398,42 +1400,18 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
 
   // Commit point: the log write that completes a commit quorum.
   const Lsn commit_lsn = log_.Append(LogRecord::Commit(fam->top, votes.update_subs));
-  if (!co_await ForceAt("tm.nbc.commit_force", fam->top.family, commit_lsn)) {
+  if (!co_await ForceAt("tm.nbc.commit_force", fam->top.family, commit_lsn,
+                        /*hold_worker=*/true)) {
     co_return UnavailableError("crashed during commit force");
   }
-  if (AtTransition("tm.committed")) {
+  if (!Decide(fam, TmDecision::kCommit)) {
     co_return UnavailableError("site crashed");
   }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
   NotifyServersDropLocks(*fam);
   // Notify phase covers EVERY subordinate still holding state: update subs
   // write their commit records; read-only passive acceptors tombstone the
   // outcome (change 4) and ack immediately.
   site_.sched().Spawn(CoordinatorPhase2(fam->top.family, subs));
-  co_return OkStatus();
-}
-
-Async<Status> TranMan::CommitLocalOnlyNbc(Family* fam, bool local_updates,
-                                          const std::vector<SiteId>& subs) {
-  if (local_updates) {
-    const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
-    if (!co_await ForceAt("tm.local.commit_force", fam->top.family, lsn)) {
-      co_return UnavailableError("crashed during commit force");
-    }
-  }
-  if (AtTransition("tm.committed")) {
-    co_return UnavailableError("site crashed");
-  }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
-  NotifyServersDropLocks(*fam);
-  // Tell read-only subordinates (passive acceptors) the outcome so their
-  // tombstones are right; no acks matter.
-  TmMsg commit;
-  commit.type = TmMsgType::kCommit;
-  commit.tid = fam->top;
-  SendMsgToAll(subs, commit);
   co_return OkStatus();
 }
 
@@ -1449,42 +1427,16 @@ std::vector<SiteId> TranMan::PaxosAcceptors(const std::vector<SiteId>& sites,
 Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<SiteId> subs,
                                        bool local_updates) {
   const uint32_t inc = site_.incarnation();
-  fam->is_coordinator = true;
-  fam->coordinator = site_.id();
-  fam->protocol = CommitProtocol::kPaxos;
-  fam->force_sub_commit = false;  // The notify phase always uses the optimized form.
-  fam->piggyback_ack = true;
-  fam->sites.clear();
-  fam->sites.push_back(site_.id());
-  fam->sites.insert(fam->sites.end(), subs.begin(), subs.end());
-  fam->commit_quorum = f_eff + 1;
-  fam->abort_quorum = f_eff + 1;
-  fam->inbox = std::make_shared<Channel<TmMsg>>(site_.sched());
-
+  // Paxos's own options: the notify phase always uses the optimized form.
+  const TmMsg prepare =
+      BeginCoordinating(fam, CommitOptions::Paxos(f_eff), subs, f_eff + 1, f_eff + 1);
   // An updating coordinator prepares (hardening its updates) before fanning
   // out, like NBC: its vote must survive a crash once it reaches an acceptor.
-  if (local_updates) {
-    const Lsn prep_lsn = log_.Append(LogRecord::Prepare(fam->top, site_.id(), fam->sites,
-                                                        CommitProtocol::kPaxos,
-                                                        fam->commit_quorum, fam->abort_quorum));
-    if (!co_await ForceAt("tm.paxos.prepare_force", fam->top.family, prep_lsn)) {
-      co_return UnavailableError("crashed during prepare force");
-    }
+  if (Status prepared = co_await PrepareCoordinator(fam, local_updates, "tm.paxos.prepare_force");
+      !prepared.ok()) {
+    co_return prepared;
   }
-  if (AtTransition("tm.prepared")) {
-    co_return UnavailableError("site crashed");
-  }
-  fam->state = TmTxnState::kPrepared;
   fam->paxos_votes[site_.id()] = local_updates ? TmVote::kCommit : TmVote::kReadOnly;
-
-  TmMsg prepare;
-  prepare.type = TmMsgType::kPrepare;
-  prepare.tid = fam->top;
-  prepare.protocol = CommitProtocol::kPaxos;
-  prepare.sites = fam->sites;
-  prepare.commit_quorum = fam->commit_quorum;
-  prepare.abort_quorum = fam->abort_quorum;
-  prepare.deadline = fam->deadline;
 
   // The coordinator is acceptor 0; the replicated registrar is the first
   // 2F+1 participant sites. Its own vote goes to the other acceptors, since
@@ -1512,27 +1464,15 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
     // A silent participant: its yes vote may already sit at an acceptor, so
     // unlike 2PC/NBC we may NOT presume abort — a later leader could find a
     // commit accept. Park and resolve through ballot promotion.
-    fam->takeover_round = 0;
-    site_.sched().Spawn(SubordinateWait(fam->top.family, inc));
-    co_return BlockedError("votes incomplete; resolving through takeover");
+    co_return ParkInDoubt(fam, inc, "votes incomplete; resolving through takeover");
   }
 
   if (votes.update_subs.empty() && !local_updates) {
-    // Entirely read-only: trivially committed, nothing to replicate. Tell the
-    // lingering read-only acceptors so their tombstones are right (their acks
-    // land on the retired family and are dropped).
-    if (AtTransition("tm.committed")) {
-      co_return UnavailableError("site crashed");
-    }
-    fam->state = TmTxnState::kCommitted;
-    RecordOutcome(fam->top.family, /*committed=*/true);
-    NotifyServersDropLocks(*fam);
-    TmMsg commit;
-    commit.type = TmMsgType::kCommit;
-    commit.tid = fam->top;
-    SendMsgToAll(remote_acceptors, commit);
-    RetireFamily(fam->top.family);
-    co_return OkStatus();
+    // Entirely read-only: trivially committed, nothing to replicate. The
+    // lingering read-only acceptors' acks land on the retired family and are
+    // dropped.
+    Status status = co_await CommitLocalOnly(fam, /*has_updates=*/false, remote_acceptors);
+    co_return status;
   }
 
   // A takeover raced the vote gathering: we promised a higher ballot or
@@ -1540,9 +1480,7 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
   // must not unilaterally abort either — the fanned-out votes may let another
   // quorum decide commit. Park and let the takeover machinery resolve it.
   if (fam->has_replication || fam->promised_epoch > 0) {
-    fam->takeover_round = 0;
-    site_.sched().Spawn(SubordinateWait(fam->top.family, inc));
-    co_return BlockedError("superseded by a takeover round during vote gathering");
+    co_return ParkInDoubt(fam, inc, "superseded by a takeover round during vote gathering");
   }
 
   // Ballot-0 accept at acceptor 0.
@@ -1552,7 +1490,8 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
   const Lsn rep_lsn = log_.Append(LogRecord::Replication(
       fam->top, site_.id(), fam->replicated_epoch, static_cast<uint8_t>(TmDecision::kCommit),
       fam->sites, CommitProtocol::kPaxos, fam->commit_quorum, fam->abort_quorum));
-  if (!co_await ForceAt("tm.paxos.accept_force", fam->top.family, rep_lsn)) {
+  if (!co_await ForceAt("tm.paxos.accept_force", fam->top.family, rep_lsn,
+                        /*hold_worker=*/true)) {
     co_return UnavailableError("crashed during accept force");
   }
 
@@ -1579,11 +1518,8 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
     }
     ++rounds;
     if (rounds > config_.max_takeover_rounds) {
-      // More than F acceptors unreachable: demote to an ordinary blocked
-      // participant; takeover resumes when connectivity returns.
-      fam->takeover_round = 0;
-      site_.sched().Spawn(SubordinateWait(fam->top.family, inc));
-      co_return BlockedError("accept quorum unreachable; transaction left prepared");
+      // More than F acceptors unreachable.
+      co_return ParkInDoubt(fam, inc, "accept quorum unreachable; transaction left prepared");
     }
     // Retransmitted prepares make every participant re-vote to the whole
     // acceptor set, re-feeding any acceptor whose vote copies were lost.
@@ -1602,11 +1538,9 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
   }
   log_.Append(LogRecord::Commit(fam->top, notify));
   RecordSpool(fam->top.family, "coord", "paxos.commit");
-  if (AtTransition("tm.committed")) {
+  if (!Decide(fam, TmDecision::kCommit)) {
     co_return UnavailableError("site crashed");
   }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
   NotifyServersDropLocks(*fam);
   // Notify phase: update subordinates write commit records; read-only
   // acceptors tombstone the outcome and ack immediately.
@@ -1660,7 +1594,7 @@ Async<void> TranMan::TryFormPaxosAccept(FamilyId family_id, uint32_t inc) {
       fam->top, fam->coordinator, fam->replicated_epoch,
       static_cast<uint8_t>(TmDecision::kCommit), fam->sites, CommitProtocol::kPaxos,
       fam->commit_quorum, fam->abort_quorum));
-  if (!co_await DirectForceAt("tm.paxos.accept_force", family_id, lsn)) {
+  if (!co_await ForceAt("tm.paxos.accept_force", family_id, lsn, /*hold_worker=*/false)) {
     co_return;
   }
   fam = FindFamily(family_id);
@@ -1683,29 +1617,27 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
   ++counters_.prepares_handled;
   Family* fam = FindFamily(msg.tid.family);
 
-  // Paxos votes go to the whole acceptor set (minus ourselves), derived from
-  // the prepare itself so even a retired family can re-vote correctly.
-  const auto paxos_vote_targets = [this, &msg]() {
-    std::vector<SiteId> targets = PaxosAcceptors(msg.sites, msg.commit_quorum);
-    targets.erase(std::remove(targets.begin(), targets.end(), site_.id()), targets.end());
-    return targets;
-  };
-  const auto send_vote = [&](TmMsg vote) {
-    if (msg.protocol == CommitProtocol::kPaxos) {
+  // Every vote this handler sends. Paxos yes and read-only votes go to the
+  // whole acceptor set (minus ourselves), derived from the prepare itself so
+  // even a retired family can re-vote correctly; 2PC and NBC votes, and every
+  // abort vote, go to the coordinator alone.
+  const auto send_vote = [this, &msg](TmVote v) {
+    TmMsg vote;
+    vote.type = TmMsgType::kVote;
+    vote.tid = msg.tid;
+    vote.vote = v;
+    if (msg.protocol == CommitProtocol::kPaxos && v != TmVote::kAbort) {
       vote.protocol = CommitProtocol::kPaxos;
-      SendMsgToAll(paxos_vote_targets(), vote);
+      std::vector<SiteId> targets = PaxosAcceptors(msg.sites, msg.commit_quorum);
+      targets.erase(std::remove(targets.begin(), targets.end(), site_.id()), targets.end());
+      SendMsgToAll(targets, vote);
     } else {
       SendMsg(msg.from, vote);
     }
   };
 
   if (fam != nullptr && fam->state == TmTxnState::kPrepared && !fam->passive_acceptor) {
-    // Duplicate prepare: our vote was lost somewhere; re-vote.
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kCommit;
-    send_vote(std::move(vote));
+    send_vote(TmVote::kCommit);  // Duplicate prepare: our vote was lost somewhere; re-vote.
     co_return;
   }
   if (fam != nullptr && (fam->state == TmTxnState::kCommitted ||
@@ -1713,11 +1645,7 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
     co_return;  // Stale retransmission.
   }
   if (fam != nullptr && fam->passive_acceptor) {
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kReadOnly;
-    send_vote(std::move(vote));
+    send_vote(TmVote::kReadOnly);
     co_return;
   }
   if (fam != nullptr && fam->committing) {
@@ -1726,78 +1654,46 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
     co_return;
   }
   if (fam == nullptr) {
-    if (readonly_voted_.contains(msg.tid.family)) {
-      TmMsg vote;
-      vote.type = TmMsgType::kVote;
-      vote.tid = msg.tid;
-      vote.vote = TmVote::kReadOnly;
-      send_vote(std::move(vote));
-      co_return;
-    }
-    // We know nothing (e.g. our volatile state died): refuse, forcing abort.
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kAbort;
-    SendMsg(msg.from, vote);
-    co_return;
-  }
-
-  if (config_.shed_expired_work && msg.deadline > 0 && site_.sched().now() > msg.deadline) {
-    // The propagated client deadline passed while this prepare was queued or
-    // in flight: refuse it instead of preparing work nobody is waiting for.
-    // No commit decision can exist while our vote is outstanding, so an
-    // abort vote is safe, and aborting locally releases the locks now.
-    ++counters_.deadline_shed;
-    fam->committing = true;
-    log_.Append(LogRecord::Abort(fam->top));
-    RecordSpool(fam->top.family, "sub", "abort");
-    co_await CallServersAbort(*fam);
-    if (Dead(inc)) {
-      co_return;
-    }
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kAbort;
-    SendMsg(msg.from, vote);
-    fam->state = TmTxnState::kAborted;
-    RecordOutcome(msg.tid.family, /*committed=*/false);
-    RetireFamily(msg.tid.family);
+    // A read-only voter that forgot the family votes read-only again; with
+    // no trace at all (e.g. our volatile state died) we refuse, forcing abort.
+    send_vote(readonly_voted_.contains(msg.tid.family) ? TmVote::kReadOnly : TmVote::kAbort);
     co_return;
   }
 
   fam->committing = true;
-  fam->coordinator = msg.from;
-  fam->sites = msg.sites;
-  fam->protocol = msg.protocol;
-  fam->force_sub_commit = msg.force_subordinate_commit;
-  fam->piggyback_ack = msg.piggyback_commit_ack;
-  fam->commit_quorum = msg.commit_quorum;
-  fam->abort_quorum = msg.abort_quorum;
-
-  const ServerVote local_vote = co_await VoteLocalServers(fam);
-  if (Dead(inc)) {
-    co_return;
-  }
-  // Revalidate: the family may have been aborted while we polled the servers.
-  fam = FindFamily(msg.tid.family);
-  if (fam == nullptr || fam->state != TmTxnState::kActive) {
-    co_return;
-  }
-
-  if (local_vote == ServerVote::kNo) {
-    log_.Append(LogRecord::Abort(fam->top));
-    RecordSpool(fam->top.family, "sub", "abort");
-    co_await CallServersAbort(*fam);
+  ServerVote local_vote = ServerVote::kNo;
+  if (config_.shed_expired_work && msg.deadline > 0 && site_.sched().now() > msg.deadline) {
+    // The propagated client deadline passed while this prepare was queued or
+    // in flight: refuse it instead of preparing work nobody is waiting for.
+    ++counters_.deadline_shed;
+  } else {
+    fam->coordinator = msg.from;
+    fam->sites = msg.sites;
+    fam->protocol = msg.protocol;
+    fam->force_sub_commit = msg.force_subordinate_commit;
+    fam->piggyback_ack = msg.piggyback_commit_ack;
+    fam->commit_quorum = msg.commit_quorum;
+    fam->abort_quorum = msg.abort_quorum;
+    local_vote = co_await VoteLocalServers(fam);
     if (Dead(inc)) {
       co_return;
     }
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kAbort;
-    SendMsg(msg.from, vote);
+    // Revalidate: the family may have been aborted while we polled the servers.
+    fam = FindFamily(msg.tid.family);
+    if (fam == nullptr || fam->state != TmTxnState::kActive) {
+      co_return;
+    }
+  }
+
+  if (local_vote == ServerVote::kNo) {
+    // Refuse (deadline passed, or a server voted no). No commit decision can
+    // exist while our vote is outstanding, so an abort vote is safe, and
+    // aborting locally releases the locks now. The family never prepared,
+    // so no tm.aborted point is evaluated.
+    if (!co_await AbortLocally(fam, "sub")) {
+      co_return;
+    }
+    send_vote(TmVote::kAbort);
     fam->state = TmTxnState::kAborted;
     RecordOutcome(msg.tid.family, /*committed=*/false);
     RetireFamily(msg.tid.family);
@@ -1824,11 +1720,7 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
         fam->paxos_votes[site_.id()] = TmVote::kReadOnly;
       }
     }
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kReadOnly;
-    send_vote(std::move(vote));
+    send_vote(TmVote::kReadOnly);
     if (lingers) {
       if (msg.protocol == CommitProtocol::kPaxos) {
         co_await TryFormPaxosAccept(msg.tid.family, inc);
@@ -1845,7 +1737,8 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
   const Lsn prep_lsn = log_.Append(LogRecord::Prepare(fam->top, msg.from, msg.sites,
                                                       msg.protocol, msg.commit_quorum,
                                                       msg.abort_quorum));
-  if (!co_await ForceAt("tm.sub.prepare_force", fam->top.family, prep_lsn)) {
+  if (!co_await ForceAt("tm.sub.prepare_force", fam->top.family, prep_lsn,
+                        /*hold_worker=*/true)) {
     co_return;
   }
   fam = FindFamily(msg.tid.family);
@@ -1860,12 +1753,7 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
   if (msg.protocol == CommitProtocol::kPaxos) {
     fam->paxos_votes[site_.id()] = TmVote::kCommit;
   }
-
-  TmMsg vote;
-  vote.type = TmMsgType::kVote;
-  vote.tid = msg.tid;
-  vote.vote = TmVote::kCommit;
-  send_vote(std::move(vote));
+  send_vote(TmVote::kCommit);
   site_.sched().Spawn(SubordinateWait(msg.tid.family, inc));
   if (msg.protocol == CommitProtocol::kPaxos) {
     // Votes that arrived while our prepare force was in flight may have
@@ -1884,6 +1772,8 @@ Async<void> TranMan::SubordinateWait(FamilyId family_id, uint32_t inc) {
     }
   }
   while (true) {
+    // Liveness first: Backoff draws jitter from a stream that survives
+    // crashes, so a dead wait must not draw.
     Family* fam = FindFamily(family_id);
     if (fam == nullptr || Dead(inc)) {
       co_return;
@@ -1891,27 +1781,15 @@ Async<void> TranMan::SubordinateWait(FamilyId family_id, uint32_t inc) {
     if (fam->state == TmTxnState::kCommitted || fam->state == TmTxnState::kAborted) {
       co_return;
     }
+    // Parked, the wait is still receptive: a SITE-UP beacon or
+    // topology-change probe answer lands here and resumes resolution.
     const bool park =
         (fam->protocol != CommitProtocol::kTwoPhase &&
          fam->takeover_round >= static_cast<uint64_t>(config_.max_takeover_rounds)) ||
-        (fam->protocol == CommitProtocol::kTwoPhase && status_rounds >= config_.max_status_rounds);
-    std::optional<TmMsg> msg;
-    if (park) {
-      // Still receptive: a SITE-UP beacon or topology-change probe answer
-      // lands here and resumes resolution.
-      msg = co_await fam->inbox->Receive();
-    } else {
-      msg = co_await fam->inbox->ReceiveTimeout(
-          Backoff(config_.outcome_timeout, config_.outcome_timeout_max, silent_rounds));
-    }
-    fam = FindFamily(family_id);
-    if (fam == nullptr || Dead(inc)) {
-      co_return;
-    }
-    if (!msg.has_value()) {
-      if (fam->inbox->closed()) {
-        co_return;
-      }
+        (fam->protocol == CommitProtocol::kTwoPhase && status_rounds >= kMaxStatusRounds);
+    const FamilyWait wait = co_await AwaitFamily(
+        fam, inc, park ? -1 : Backoff(config_.outcome_timeout, kOutcomeTimeoutMax, silent_rounds));
+    if (wait.kind == FamilyWait::kTimeout) {
       ++silent_rounds;
       // Silence inside the window of vulnerability.
       if (fam->protocol == CommitProtocol::kTwoPhase) {
@@ -1932,47 +1810,40 @@ Async<void> TranMan::SubordinateWait(FamilyId family_id, uint32_t inc) {
       }
       continue;
     }
+    if (wait.kind != FamilyWait::kMessage) {
+      co_return;  // Gone, or AwaitFamily applied a COMMIT or ABORT.
+    }
     silent_rounds = 0;
-    switch (msg->type) {
-      case TmMsgType::kCommit:
-        co_await SubordinateCommit(fam);
-        co_return;
-      case TmMsgType::kAbort:
+    const TmMsg& resp = wait.msg;
+    if (resp.type != TmMsgType::kStatusResp) {
+      continue;
+    }
+    if (resp.state == TmTxnState::kCommitted) {
+      co_await SubordinateCommit(fam);
+      co_return;
+    }
+    if (resp.state == TmTxnState::kAborted) {
+      co_await SubordinateAbort(fam);  // A definite outcome from anyone.
+      co_return;
+    }
+    if (resp.state == TmTxnState::kUnknown) {
+      // Presumed abort — but ONLY on the coordinator's authority: it
+      // forgets a transaction only after abort or full completion. A
+      // recovered PEER answers unknown for any transaction it never
+      // touched (the site-up nudge queries whoever just came back up);
+      // treating that as an outcome aborts committed work.
+      //
+      // Paxos Commit exempts even the coordinator: a read-only leader
+      // holds NO durable state before the decision (its ballot-0 accept
+      // may have died with it), yet the acceptor set can have committed
+      // without it. Only quorum takeover may resolve a paxos family.
+      if (resp.from == fam->coordinator && fam->protocol != CommitProtocol::kPaxos) {
         co_await SubordinateAbort(fam);
         co_return;
-      case TmMsgType::kStatusResp: {
-        if (msg->state == TmTxnState::kCommitted) {
-          co_await SubordinateCommit(fam);
-          co_return;
-        }
-        if (msg->state == TmTxnState::kAborted) {
-          co_await SubordinateAbort(fam);  // A definite outcome from anyone.
-          co_return;
-        }
-        if (msg->state == TmTxnState::kUnknown) {
-          // Presumed abort — but ONLY on the coordinator's authority: it
-          // forgets a transaction only after abort or full completion. A
-          // recovered PEER answers unknown for any transaction it never
-          // touched (the site-up nudge queries whoever just came back up);
-          // treating that as an outcome aborts committed work.
-          //
-          // Paxos Commit exempts even the coordinator: a read-only leader
-          // holds NO durable state before the decision (its ballot-0 accept
-          // may have died with it), yet the acceptor set can have committed
-          // without it. Only quorum takeover may resolve a paxos family.
-          if (msg->from == fam->coordinator &&
-              fam->protocol != CommitProtocol::kPaxos) {
-            co_await SubordinateAbort(fam);
-            co_return;
-          }
-          continue;  // Amnesia proves nothing here; keep waiting.
-        }
-        status_rounds = 0;  // Coordinator alive but undecided: keep waiting.
-        continue;
       }
-      default:
-        continue;
+      continue;  // Amnesia proves nothing here; keep waiting.
     }
+    status_rounds = 0;  // Coordinator alive but undecided: keep waiting.
   }
 }
 
@@ -1984,18 +1855,15 @@ Async<void> TranMan::SubordinateCommit(Family* fam) {
     ++counters_.duplicate_effects;
     co_return;
   }
-  ClearBlocked(fam);
-  if (AtTransition("tm.committed")) {
+  if (!Decide(fam, TmDecision::kCommit)) {
     co_return;
   }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
   const FamilyId family_id = fam->top.family;
 
   if (fam->force_sub_commit) {
     // Unoptimized: force the commit record, then drop locks, then ack.
     const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
-    if (!co_await ForceAt("tm.sub.commit_force", fam->top.family, lsn)) {
+    if (!co_await ForceAt("tm.sub.commit_force", fam->top.family, lsn, /*hold_worker=*/true)) {
       co_return;
     }
     fam = FindFamily(family_id);
@@ -2029,12 +1897,12 @@ Async<void> TranMan::SubordinateCommit(Family* fam) {
 
 Async<void> TranMan::DelayedCommitAck(FamilyId family_id, Tid top, SiteId coordinator,
                                       Lsn commit_lsn, uint32_t inc) {
-  co_await site_.sched().Delay(config_.ack_delay);
+  co_await site_.sched().Delay(kAckDelay);
   if (Dead(inc)) {
     co_return;
   }
   // Usually free: a group-commit batch or later traffic already hardened it.
-  if (!co_await DirectForceAt("tm.sub.ack_force", family_id, commit_lsn)) {
+  if (!co_await ForceAt("tm.sub.ack_force", family_id, commit_lsn, /*hold_worker=*/false)) {
     co_return;
   }
   TmMsg ack;
@@ -2049,32 +1917,22 @@ Async<void> TranMan::DelayedCommitAck(FamilyId family_id, Tid top, SiteId coordi
 }
 
 Async<void> TranMan::SubordinateAbort(Family* fam) {
-  const uint32_t inc = site_.incarnation();
   if (fam->state == TmTxnState::kCommitted || fam->state == TmTxnState::kAborted) {
     ++counters_.duplicate_effects;  // See SubordinateCommit: exactly-once sensor.
     co_return;
   }
-  ClearBlocked(fam);
+  ClearBlocked(fam);  // Blocked time ends when the abort starts, before the undo.
   const FamilyId family_id = fam->top.family;
-  log_.Append(LogRecord::Abort(fam->top));
-  RecordSpool(family_id, "sub", "abort");
-  co_await CallServersAbort(*fam);
-  if (Dead(inc)) {
+  if (!co_await AbortLocally(fam, "sub")) {
     co_return;
   }
   fam = FindFamily(family_id);
-  if (fam == nullptr) {
+  if (fam == nullptr || !Decide(fam, TmDecision::kAbort)) {
     co_return;
   }
-  if (AtTransition("tm.aborted")) {
-    co_return;
-  }
-  fam->state = TmTxnState::kAborted;
-  RecordOutcome(fam->top.family, /*committed=*/false);
   if (fam->protocol == CommitProtocol::kTwoPhase && !fam->heuristic) {
     RetireFamily(family_id);
   }
-  co_return;
 }
 
 Async<void> TranMan::OrphanWatch(FamilyId family_id, uint32_t inc) {
@@ -2101,7 +1959,7 @@ Async<void> TranMan::OrphanWatch(FamilyId family_id, uint32_t inc) {
     }
     bool presume_dead = false;
     if (!result.status.ok()) {
-      presume_dead = ++failed_probes >= config_.max_orphan_probes;
+      presume_dead = ++failed_probes >= kMaxOrphanProbes;
     } else {
       ByteReader r(result.body);
       const auto state = static_cast<TmTxnState>(r.U8());
@@ -2112,12 +1970,10 @@ Async<void> TranMan::OrphanWatch(FamilyId family_id, uint32_t inc) {
       }
     }
     if (presume_dead) {
-      // Safe: we never prepared, so the transaction cannot have committed.
+      // Safe: we never prepared, so the transaction cannot have committed
+      // (and, unprepared, the abort evaluates no tm.aborted point).
       fam->committing = true;
-      log_.Append(LogRecord::Abort(fam->top));
-      RecordSpool(fam->top.family, "sub", "abort");
-      co_await CallServersAbort(*fam);
-      if (Dead(inc)) {
+      if (!co_await AbortLocally(fam, "sub")) {
         co_return;
       }
       fam = FindFamily(family_id);
@@ -2142,11 +1998,15 @@ Async<TranMan::FamilyWait> TranMan::AwaitFamily(Family* fam, uint32_t inc, SimDu
   if (!msg.has_value()) {
     co_return FamilyWait{FamilyWait::kTimeout, {}};
   }
-  if (msg->type == TmMsgType::kCommit) {
+  // A phase-2 coordinator is already decided, yet its inbox can still hold a
+  // takeover's COMMIT that arrived before its own decision: hand that back.
+  const bool undecided =
+      fam->state != TmTxnState::kCommitted && fam->state != TmTxnState::kAborted;
+  if (undecided && msg->type == TmMsgType::kCommit) {
     co_await SubordinateCommit(fam);
     co_return FamilyWait{FamilyWait::kCommitted, {}};
   }
-  if (msg->type == TmMsgType::kAbort) {
+  if (undecided && msg->type == TmMsgType::kAbort) {
     co_await SubordinateAbort(fam);
     co_return FamilyWait{FamilyWait::kAborted, {}};
   }
@@ -2277,7 +2137,7 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
   if (read_set < (paxos ? qc : std::max(qc, qa)) || (paxos && fam->promised_epoch > epoch)) {
     MarkBlocked(fam);
     co_await site_.sched().Delay(
-        Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
+        Backoff(config_.takeover_backoff, kTakeoverBackoffMax, fam->takeover_round));
     co_return false;
   }
 
@@ -2293,7 +2153,8 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
     const Lsn rep_lsn = log_.Append(LogRecord::Replication(fam->top, site_.id(), epoch,
                                                            static_cast<uint8_t>(proposal),
                                                            fam->sites, fam->protocol, qc, qa));
-    if (!co_await DirectForceAt("tm.takeover.replicate_force", fam->top.family, rep_lsn)) {
+    if (!co_await ForceAt("tm.takeover.replicate_force", fam->top.family, rep_lsn,
+                          /*hold_worker=*/false)) {
       co_return true;
     }
     fam = FindFamily(family_id);
@@ -2336,7 +2197,7 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
   if (support < needed) {
     MarkBlocked(fam);
     co_await site_.sched().Delay(
-        Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
+        Backoff(config_.takeover_backoff, kTakeoverBackoffMax, fam->takeover_round));
     co_return false;  // Quorum not reached this round.
   }
 
@@ -2347,41 +2208,22 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
     if (paxos) {
       RecordSpool(fam->top.family, "takeover", "paxos.commit");
     } else {
-      if (!co_await DirectForceAt("tm.takeover.commit_force", fam->top.family, commit_lsn)) {
-        co_return true;
-      }
-      fam = FindFamily(family_id);
-      if (fam == nullptr) {
+      if (!co_await ForceAt("tm.takeover.commit_force", fam->top.family, commit_lsn,
+                            /*hold_worker=*/false)) {
         co_return true;
       }
     }
-    ClearBlocked(fam);
-    if (AtTransition("tm.committed")) {
-      co_return true;
-    }
-    fam->state = TmTxnState::kCommitted;
-    RecordOutcome(fam->top.family, /*committed=*/true);
-    NotifyServersDropLocks(*fam);
-    announce(TmMsgType::kCommit);
-  } else {
-    log_.Append(LogRecord::Abort(fam->top));
-    RecordSpool(fam->top.family, "takeover", "abort");
-    co_await CallServersAbort(*fam);
-    if (Dead(inc)) {
-      co_return true;
-    }
-    fam = FindFamily(family_id);
-    if (fam == nullptr) {
-      co_return true;
-    }
-    ClearBlocked(fam);
-    if (AtTransition("tm.aborted")) {
-      co_return true;
-    }
-    fam->state = TmTxnState::kAborted;
-    RecordOutcome(fam->top.family, /*committed=*/false);
-    announce(TmMsgType::kAbort);
+  } else if (!co_await AbortLocally(fam, "takeover")) {
+    co_return true;
   }
+  fam = FindFamily(family_id);
+  if (fam == nullptr || !Decide(fam, proposal)) {
+    co_return true;
+  }
+  if (proposal == TmDecision::kCommit) {
+    NotifyServersDropLocks(*fam);
+  }
+  announce(proposal == TmDecision::kCommit ? TmMsgType::kCommit : TmMsgType::kAbort);
   co_return true;
 }
 
@@ -2425,7 +2267,8 @@ Async<void> TranMan::HandleReplicate(TmMsg msg) {
                                                      static_cast<uint8_t>(msg.decision),
                                                      fam->sites, fam->protocol,
                                                      fam->commit_quorum, fam->abort_quorum));
-  if (!co_await DirectForceAt("tm.accept.replicate_force", fam->top.family, lsn)) {
+  if (!co_await ForceAt("tm.accept.replicate_force", fam->top.family, lsn,
+                        /*hold_worker=*/false)) {
     co_return;
   }
   TmMsg ack;
@@ -2465,16 +2308,6 @@ Async<void> TranMan::HandleStatusReq(TmMsg msg) {
   co_return;
 }
 
-Async<void> TranMan::HandleCommitForUnknown(TmMsg msg) {
-  // We finished this transaction long ago and forgot it; the coordinator is
-  // still retrying because our ack was lost. Ack blindly.
-  TmMsg ack;
-  ack.type = TmMsgType::kCommitAck;
-  ack.tid = msg.tid;
-  SendMsg(msg.from, ack);
-  co_return;
-}
-
 Async<void> TranMan::HandleAbortMsg(TmMsg msg) {
   Family* fam = FindFamily(msg.tid.family);
   if (fam == nullptr) {
@@ -2500,13 +2333,10 @@ Async<void> TranMan::HandleAbortMsg(TmMsg msg) {
   }
   // Active family ordered to abort (the distributed abort protocol): undo and
   // diffuse to the sites WE know about — the aborter may have had incomplete
-  // knowledge (paper, Section 3.1 / reference [7]).
-  const uint32_t inc = site_.incarnation();
+  // knowledge (paper, Section 3.1 / reference [7]). The family never
+  // prepared, so no tm.aborted point is evaluated.
   fam->committing = true;
-  log_.Append(LogRecord::Abort(fam->top));
-  RecordSpool(fam->top.family, "sub", "abort");
-  co_await CallServersAbort(*fam);
-  if (Dead(inc)) {
+  if (!co_await AbortLocally(fam, "sub")) {
     co_return;
   }
   fam = FindFamily(msg.tid.family);
@@ -2545,15 +2375,7 @@ Async<RpcResult> TranMan::HandleNestedCommit(const Tid& tid) {
   parent.parent_serial = 0;
 
   // Anti-inherit locally and at every site the family has touched.
-  std::vector<Async<RpcResult>> calls;
-  for (const auto& server : fam->local_servers) {
-    calls.push_back(site_.CallLocal(server, kSrvNestedCommit,
-                                    EncodeNestedCommitRequest(tid, parent),
-                                    RpcContext{site_.id(), tid}, /*to_data_server=*/false));
-  }
-  if (!calls.empty()) {
-    co_await JoinAll(site_.sched(), std::move(calls));
-  }
+  co_await CallLocalServers(*fam, kSrvNestedCommit, EncodeNestedCommitRequest(tid, parent), tid);
   fam = FindFamily(tid.family);
   if (fam == nullptr) {
     co_return RpcResult{UnavailableError("family vanished"), {}};
@@ -2586,15 +2408,8 @@ Async<RpcResult> TranMan::HandleNestedAbort(const Tid& tid) {
       }
     }
   }
-  std::vector<Async<RpcResult>> calls;
-  for (const auto& server : fam->local_servers) {
-    calls.push_back(site_.CallLocal(server, kSrvAbortSubtree,
-                                    EncodeAbortSubtreeRequest(fam->top, victims),
-                                    RpcContext{site_.id(), tid}, /*to_data_server=*/false));
-  }
-  if (!calls.empty()) {
-    co_await JoinAll(site_.sched(), std::move(calls));
-  }
+  co_await CallLocalServers(*fam, kSrvAbortSubtree, EncodeAbortSubtreeRequest(fam->top, victims),
+                            tid);
   fam = FindFamily(tid.family);
   if (fam == nullptr) {
     co_return RpcResult{UnavailableError("family vanished"), {}};
@@ -2625,17 +2440,9 @@ Async<void> TranMan::ForwardNestedToRemotes(Family* fam, uint32_t method, Bytes 
 
 Async<RpcResult> TranMan::HandleNestedCommitRemote(const Tid& child, const Tid& parent) {
   Family* fam = FindFamily(child.family);
-  if (fam == nullptr) {
-    co_return RpcResult{OkStatus(), {}};  // Nothing of this family here.
-  }
-  std::vector<Async<RpcResult>> calls;
-  for (const auto& server : fam->local_servers) {
-    calls.push_back(site_.CallLocal(server, kSrvNestedCommit,
-                                    EncodeNestedCommitRequest(child, parent),
-                                    RpcContext{site_.id(), child}, /*to_data_server=*/false));
-  }
-  if (!calls.empty()) {
-    co_await JoinAll(site_.sched(), std::move(calls));
+  if (fam != nullptr) {  // Else nothing of this family is here.
+    co_await CallLocalServers(*fam, kSrvNestedCommit, EncodeNestedCommitRequest(child, parent),
+                              child);
   }
   co_return RpcResult{OkStatus(), {}};
 }
@@ -2643,17 +2450,9 @@ Async<RpcResult> TranMan::HandleNestedCommitRemote(const Tid& child, const Tid& 
 Async<RpcResult> TranMan::HandleAbortSubtreeRemote(const Tid& top,
                                                    std::vector<uint32_t> serials) {
   Family* fam = FindFamily(top.family);
-  if (fam == nullptr) {
-    co_return RpcResult{OkStatus(), {}};
-  }
-  std::vector<Async<RpcResult>> calls;
-  for (const auto& server : fam->local_servers) {
-    calls.push_back(site_.CallLocal(server, kSrvAbortSubtree,
-                                    EncodeAbortSubtreeRequest(top, serials),
-                                    RpcContext{site_.id(), top}, /*to_data_server=*/false));
-  }
-  if (!calls.empty()) {
-    co_await JoinAll(site_.sched(), std::move(calls));
+  if (fam != nullptr) {
+    co_await CallLocalServers(*fam, kSrvAbortSubtree, EncodeAbortSubtreeRequest(top, serials),
+                              top);
   }
   co_return RpcResult{OkStatus(), {}};
 }

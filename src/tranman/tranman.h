@@ -49,46 +49,27 @@ struct TranManConfig {
   size_t worker_threads = 20;
   // CPU burst consumed per protocol event (message, call, upcall).
   SimDuration cpu_per_event = Usec(200);
-  // Coordinator: total time to wait for votes before aborting.
-  SimDuration vote_timeout = Sec(5.0);
   // Subordinate: silence before querying status (2PC) or taking over (NBC).
   SimDuration outcome_timeout = Sec(1.5);
   // Datagram retransmission interval inside protocol wait loops.
   SimDuration retry_interval = Usec(800000);
-  // How long a delayed ("piggybacked") commit-ack waits before riding a forced
-  // batch (the ack is only ever sent after the commit record is durable).
-  SimDuration ack_delay = Usec(50000);
   // Takeover: pause between unsuccessful rounds, and how many rounds to try
   // before parking (still receptive to messages; a restart resumes retries).
   SimDuration takeover_backoff = Usec(700000);
   int max_takeover_rounds = 8;
   // Orphan detection: an ACTIVE (unprepared) subordinate family probes the
-  // family origin at this interval; after max_orphan_probes unreachable or
-  // unknown answers it aborts itself. Always safe: an unprepared site's vote
-  // is required for commit, so no commit decision can exist yet.
+  // family origin at this interval and aborts itself after a few unreachable
+  // or unknown answers. Always safe: an unprepared site's vote is required
+  // for commit, so no commit decision can exist yet.
   SimDuration orphan_check_interval = Sec(4.0);
-  int max_orphan_probes = 3;
-  // 2PC blocked subordinate: status-query attempts before parking (it stays
-  // receptive; a recovered coordinator's SITE-UP beacon wakes it).
-  int max_status_rounds = 10;
   // Message batching for off-critical-path traffic ("Camelot batches only
   // those messages that are not in the critical path"): commit-acks queue per
   // destination and either ride the next protocol datagram to that site or
   // flush after this delay. 0 disables batching.
   SimDuration piggyback_delay = Usec(20000);
-  // Silence-driven waits (blocked-subordinate status queries, takeover retry
-  // pauses, phase-2 retransmits) grow exponentially by backoff_multiplier per
-  // consecutive silent round, capped at the matching *_max, and jittered by
-  // +/- backoff_jitter so a partitioned cohort does not retry in lockstep.
-  double backoff_multiplier = 2.0;
-  double backoff_jitter = 0.2;
-  SimDuration retry_interval_max = Sec(4.0);
-  SimDuration outcome_timeout_max = Sec(6.0);
-  SimDuration takeover_backoff_max = Sec(6.0);
-  // Stuck-family watchdog: a family still undecided this long after entering
-  // a commit flow is surfaced in counters().stuck_families (observation only;
-  // the protocols keep running).
-  SimDuration stuck_family_deadline = Sec(60.0);
+  // The vote timeout, ack delay, backoff shape and caps, orphan-probe and
+  // status-round limits, stuck-family deadline and off-path queue bound are
+  // constants in tranman.cc.
 
   // --- Overload / admission control (defaults preserve legacy behaviour) -------
   // Bound on the worker pool's new-work admission queue: begins and incoming
@@ -105,11 +86,6 @@ struct TranManConfig {
   // queued admissions, incoming prepares). Deadlines only exist when a client
   // sets one, so this is inert for legacy workloads.
   bool shed_expired_work = true;
-  // Bound on each destination's off-path piggyback queue; the oldest message
-  // is dropped (counters().offpath_dropped) when a long partition backs it
-  // up. Always-safe: off-path messages are retried/re-derived by protocol
-  // timeouts. 0 = unbounded.
-  size_t offpath_queue_limit = 256;
 };
 
 struct TranManCounters {
@@ -121,9 +97,11 @@ struct TranManCounters {
   uint64_t takeovers = 0;
   uint64_t status_queries = 0;
   uint64_t orphans_aborted = 0;
-  uint64_t blocked_periods = 0;  // Times a 2PC subordinate entered the blocked state.
+  // Times a family entered the blocked state: a 2PC subordinate asking a
+  // silent coordinator, or an NBC/Paxos takeover round short of a quorum.
+  uint64_t blocked_periods = 0;
   uint64_t blocked_time_us = 0;  // Total sim-time families spent blocked (lock-holding limbo).
-  uint64_t stuck_families = 0;   // Families undecided past stuck_family_deadline.
+  uint64_t stuck_families = 0;   // Families undecided past the stuck-family deadline.
   uint64_t duplicate_effects = 0;  // Commit/abort effects re-driven on an already-final family
                                    // (a duplicated or reordered datagram got through the
                                    // idempotence guards; the exactly-once oracle wants 0).
@@ -181,7 +159,9 @@ class TranMan {
   //     replicate);
   //   tm.send.<MsgType> — before each datagram send (crash/drop/delay/error);
   //   tm.prepared / tm.committed / tm.aborted — just before the family's
-  //     state transition is applied.
+  //     state transition is applied (Decide). Three aborts of a family that
+  //     never prepared evaluate no point: a subordinate refusing a PREPARE,
+  //     OrphanWatch, and HandleAbortMsg on an active family.
   void set_failpoints(Failpoints failpoints) { failpoints_ = std::move(failpoints); }
 
   // Observes every TOP-LEVEL outcome transition this site applies — the same
@@ -234,7 +214,7 @@ class TranMan {
     uint32_t commit_quorum = 0;
     uint32_t abort_quorum = 0;
 
-    // NBC acceptor state.
+    // NBC and Paxos acceptor state.
     uint64_t promised_epoch = 0;   // Volatile promise (statusreq).
     bool has_replication = false;  // Durable (replication record forced).
     uint64_t replicated_epoch = 0;
@@ -277,15 +257,24 @@ class TranMan {
   // --- Commit flows ---------------------------------------------------------------
   // Collects votes from local servers. Returns kNo/kUpdate/kReadOnly summary.
   Async<ServerVote> VoteLocalServers(Family* fam);
-  Async<Status> CommitLocalOnly(Family* fam, bool has_updates);
+  // A commit that needs no phase 2: the local commit record (forced only
+  // when this site updated) alone decides. Serves the local-only commit, NBC
+  // whose subordinates all voted read-only, and the 2PC and Paxos read-only
+  // commits; `tell` names the lingering passive acceptors to tell the outcome
+  // for their tombstones. The NBC coordinator keeps its tombstone; every
+  // other family retires.
+  Async<Status> CommitLocalOnly(Family* fam, bool has_updates, const std::vector<SiteId>& tell);
+  // Makes this site the family's coordinator (participants, quorums, inbox)
+  // and returns the PREPARE every variant fans out.
+  TmMsg BeginCoordinating(Family* fam, const CommitOptions& options,
+                          const std::vector<SiteId>& subs, uint32_t commit_quorum,
+                          uint32_t abort_quorum);
+  // NBC change 5 (and Paxos's acceptor 0): an updating coordinator forces its
+  // prepare record at `point` before fanning out; then tm.prepared.
+  Async<Status> PrepareCoordinator(Family* fam, bool local_updates, const char* point);
   Async<Status> CoordinateTwoPhase(Family* fam, const CommitOptions& options,
                                    std::vector<SiteId> subs, bool local_updates);
-  Async<Status> CoordinateNonBlocking(Family* fam, const CommitOptions& options,
-                                      std::vector<SiteId> subs, bool local_updates);
-  // NBC where every subordinate turned out read-only: the local commit record
-  // alone decides; passive acceptors are told the outcome for their tombstones.
-  Async<Status> CommitLocalOnlyNbc(Family* fam, bool local_updates,
-                                   const std::vector<SiteId>& subs);
+  Async<Status> CoordinateNonBlocking(Family* fam, std::vector<SiteId> subs, bool local_updates);
   // Paxos Commit (Gray & Lamport) with F >= 1: per-participant ballot-0 vote
   // instances batched into one accept record per acceptor; the coordinator is
   // acceptor 0 and the decision is durable once F+1 acceptors forced accepts.
@@ -304,6 +293,10 @@ class TranMan {
                                const std::vector<SiteId>& subs);
   Async<void> CoordinatorPhase2(FamilyId family, std::vector<SiteId> update_subs);
   Async<void> AbortDistributed(Family* fam, const std::vector<SiteId>& notify);
+  // A coordinator that cannot decide (votes incomplete, superseded, or no
+  // quorum) demotes itself to an in-doubt participant: SubordinateWait's
+  // takeover resolves the family once connectivity returns.
+  Status ParkInDoubt(Family* fam, uint32_t inc, const char* why);
 
   // --- Subordinate side -------------------------------------------------------------
   Async<void> HandleRemotePrepare(TmMsg msg);
@@ -337,22 +330,25 @@ class TranMan {
     } kind;
     TmMsg msg;
   };
-  // One receive on fam->inbox for up to `timeout`, for the protocol waits
-  // that gather answers or acks: owns the liveness checks and applies an
-  // outcome that arrives mid-wait (SubordinateCommit / SubordinateAbort).
+  // One receive on fam->inbox for up to `timeout` (-1 parks until a message
+  // or close), for every protocol wait except GatherVotes: owns the
+  // liveness checks after the receive and applies a COMMIT or ABORT that
+  // reaches an undecided family mid-wait (SubordinateCommit /
+  // SubordinateAbort); a decided family gets it back as a message. A caller
+  // that draws jitter for `timeout` checks Dead(inc) and the inbox first.
   Async<FamilyWait> AwaitFamily(Family* fam, uint32_t inc, SimDuration timeout);
   // Watches an active subordinate family for coordinator death (see
   // TranManConfig::orphan_check_interval).
   Async<void> OrphanWatch(FamilyId family_id, uint32_t inc);
-  // One-shot: fires once at stuck_family_deadline and counts the family into
-  // counters().stuck_families if it is still undecided (observation only).
+  // One-shot: fires once at the stuck-family deadline and counts the family
+  // into counters().stuck_families if it is still undecided (observation only).
   Async<void> StuckFamilyWatch(FamilyId family_id, uint32_t inc);
   void ArmStuckWatch(Family* fam);
   // Blocked-state bookkeeping with blocked-time accounting.
   void MarkBlocked(Family* fam);
   void ClearBlocked(Family* fam);
-  // Capped, jittered exponential backoff: base * multiplier^attempt, capped,
-  // +/- backoff_jitter. Deterministic per seed (draws from this TranMan's rng).
+  // Capped, jittered exponential backoff: base * 2^attempt, capped, +/- 20%.
+  // Deterministic per seed (draws from this TranMan's rng).
   SimDuration Backoff(SimDuration base, SimDuration cap, uint64_t attempt);
   // Network topology changed (partition installed or healed): re-probe every
   // in-doubt family so a participant parked during a partition learns
@@ -373,11 +369,17 @@ class TranMan {
   Async<void> HandleReplicate(TmMsg msg);
   Async<void> HandleStatusReq(TmMsg msg);
   Async<void> HandleAbortMsg(TmMsg msg);
-  Async<void> HandleCommitForUnknown(TmMsg msg);
 
   // --- Server upcalls ------------------------------------------------------------------
   void NotifyServersDropLocks(const Family& fam);  // One-way (Figure 1 event 11).
-  Async<Status> CallServersAbort(const Family& fam);
+  // Calls `method` on every local server that joined the family, in
+  // parallel, and returns their results (none, without a join, if no server
+  // joined).
+  Async<std::vector<RpcResult>> CallLocalServers(const Family& fam, uint32_t method,
+                                                 const Bytes& body, const Tid& tid);
+  // Presumed abort at this site: spools the (never forced) abort record and
+  // undoes the local servers. False if the site died meanwhile.
+  Async<bool> AbortLocally(Family* fam, const char* role);
 
   // --- Plumbing ---------------------------------------------------------------------------
   Family* FindFamily(const FamilyId& id);
@@ -389,21 +391,22 @@ class TranMan {
   // Bumps the outcome counter and fires the outcome hook. Every top-level
   // commit/abort transition funnels through here; nested aborts must not.
   void RecordOutcome(const FamilyId& family, bool committed);
+  // The family's outcome transition: clears the blocked state, evaluates
+  // tm.committed or tm.aborted, sets the state and records the outcome.
+  // False means a crash fired at the point and the caller must stop.
+  bool Decide(Family* fam, TmDecision decision);
   bool Dead(uint32_t inc) const { return !site_.up() || site_.incarnation() != inc; }
-  // A synchronous log force performed BY a worker thread: the thread is
-  // occupied for the force's whole duration (Section 3.4/3.5 interplay).
-  Async<bool> ForceHoldingWorker(Lsn lsn);
   // Evaluates a single "<point>.before"/".after" force failpoint; honors a
   // delay inline. False means the caller must treat the force as failed
   // (crash or error-return fired at the point).
   Async<bool> AtForcePoint(std::string point, uint32_t inc);
-  // ForceHoldingWorker bracketed by "<point>.before" / "<point>.after"
+  // A protocol log force bracketed by "<point>.before" / "<point>.after"
   // failpoints; returns false (not durable) if a crash fired at either point.
-  // A successful force records one {family, role, phase, force} cost-ledger
+  // With `hold_worker` the force is synchronous on a worker thread, which
+  // stays occupied for its whole duration (Section 3.4/3.5 interplay). A
+  // successful force records one {family, role, phase, force} cost-ledger
   // event, with role/phase derived from the point name.
-  Async<bool> ForceAt(const char* point, const FamilyId& family, Lsn lsn);
-  // Same bracketing around a direct (worker-less) log force.
-  Async<bool> DirectForceAt(const char* point, const FamilyId& family, Lsn lsn);
+  Async<bool> ForceAt(const char* point, const FamilyId& family, Lsn lsn, bool hold_worker);
   // Cost-ledger events for the primitives the static analysis predicts: an
   // unforced protocol log append, and one datagram per (message, destination)
   // — piggybacked off-path messages count as their own logical datagram, so
@@ -422,7 +425,10 @@ class TranMan {
   TranManConfig config_;
   Failpoints failpoints_;
   WorkerPool pool_;
-  Rng rng_;  // Backoff jitter; forked from the scheduler stream for determinism.
+  // Backoff jitter. Seeded from the site id, never forked from the scheduler
+  // stream (see the constructor); it survives crashes, so one extra draw
+  // shifts every later timer at this site.
+  Rng rng_;
   uint64_t next_family_seq_ = 1;
   std::unordered_map<FamilyId, std::unique_ptr<Family>> families_;
   std::vector<std::unique_ptr<Family>> graveyard_;

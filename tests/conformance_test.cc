@@ -6,6 +6,7 @@
 // failpoint subsystem — is rejected with a per-primitive diff naming it.
 #include "src/harness/conformance.h"
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -28,10 +29,11 @@ std::string CellLabel(const std::string& variant, TxnKind kind, int subordinates
          (outcome == TxnOutcome::kCommit ? "commit" : "abort");
 }
 
-// Drives every {kind, subs, outcome} cell for one commit variant and asserts
-// exact count conformance plus the latency underestimate bias.
-void RunVariantMatrix(const std::string& variant, const CommitOptions& options,
-                      int min_subordinates = 0, int max_subordinates = 3) {
+// Every {kind, subs, outcome} cell for one commit variant, seeded 1, 2, ...
+std::vector<ConformanceScenario> MatrixCells(const CommitOptions& options,
+                                             int min_subordinates = 0,
+                                             int max_subordinates = 3) {
+  std::vector<ConformanceScenario> cells;
   uint64_t seed = 1;
   for (const TxnKind kind : {TxnKind::kRead, TxnKind::kWrite}) {
     for (int subordinates = min_subordinates; subordinates <= max_subordinates;
@@ -43,12 +45,23 @@ void RunVariantMatrix(const std::string& variant, const CommitOptions& options,
         scenario.subordinates = subordinates;
         scenario.outcome = outcome;
         scenario.seed = seed++;
-        const ConformanceReport report = RunConformanceScenario(scenario);
-        EXPECT_TRUE(report.ok())
-            << CellLabel(variant, kind, subordinates, outcome) << "\n"
-            << report.Explain();
+        cells.push_back(scenario);
       }
     }
+  }
+  return cells;
+}
+
+// Drives every cell for one commit variant and asserts exact count
+// conformance plus the latency underestimate bias.
+void RunVariantMatrix(const std::string& variant, const CommitOptions& options,
+                      int min_subordinates = 0, int max_subordinates = 3) {
+  for (const ConformanceScenario& cell :
+       MatrixCells(options, min_subordinates, max_subordinates)) {
+    const ConformanceReport report = RunConformanceScenario(cell);
+    EXPECT_TRUE(report.ok())
+        << CellLabel(variant, cell.kind, cell.subordinates, cell.outcome) << "\n"
+        << report.Explain();
   }
 }
 
@@ -88,6 +101,60 @@ TEST(ConformanceMatrix, PaxosF2Clamped) {
 TEST(ConformanceMatrix, PaxosF2Unclamped) {
   RunVariantMatrix("paxos_f2_wide", CommitOptions::Paxos(2), /*min_subordinates=*/4,
                    /*max_subordinates=*/5);
+}
+
+// Behaviour pin: one FNV-1a digest over the failpoint trace (virtual µs
+// included) and completion latency of every cell the matrices above drive.
+// These cells reach the read-only, local-only, client-abort, F = 0 and F = 2
+// paths that the crash-schedule digests never run, so a refactor of any
+// commit path must leave this digest as it was.
+TEST(ConformanceDigest, CellTracesMatchPinnedDigest) {
+  struct Matrix {
+    const char* variant;
+    CommitOptions options;
+    int min_subordinates;
+    int max_subordinates;
+  };
+  const Matrix matrices[] = {
+      {"optimized", CommitOptions::Optimized(), 0, 3},
+      {"unoptimized", CommitOptions::Unoptimized(), 0, 3},
+      {"intermediate", CommitOptions::Intermediate(), 0, 3},
+      {"non_blocking", CommitOptions::NonBlocking(), 0, 3},
+      {"paxos_f0", CommitOptions::Paxos(0), 0, 3},
+      {"paxos_f1", CommitOptions::Paxos(1), 0, 3},
+      {"paxos_f2", CommitOptions::Paxos(2), 0, 3},
+      {"paxos_f2_wide", CommitOptions::Paxos(2), 4, 5},
+  };
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const std::string& text) {
+    for (const unsigned char c : text) {
+      h = (h ^ c) * 0x100000001b3ULL;
+    }
+    h = (h ^ '\n') * 0x100000001b3ULL;
+  };
+  int cells = 0;
+  for (const Matrix& m : matrices) {
+    for (const ConformanceScenario& cell :
+         MatrixCells(m.options, m.min_subordinates, m.max_subordinates)) {
+      const ConformanceReport report = RunConformanceScenario(
+          cell, [](World& world) { world.failpoints().set_recording(true); });
+      const std::string label =
+          CellLabel(m.variant, cell.kind, cell.subordinates, cell.outcome);
+      EXPECT_FALSE(report.trace.empty()) << label;
+      char latency[64];
+      std::snprintf(latency, sizeof(latency), "%.3fms", report.measured_ms);
+      mix(label + " " + latency);
+      for (const std::string& line : report.trace) {
+        mix(line);
+      }
+      ++cells;
+    }
+  }
+  EXPECT_EQ(cells, 120);
+  EXPECT_EQ(h, 0x38c328119c22f3c6ULL)
+      << "conformance traces changed (digest 0x" << std::hex << h
+      << "). A digest may move only in a change that states why protocol behaviour "
+         "changed; a refactor must leave every trace, timestamps included, as it was.";
 }
 
 // Gray & Lamport's degenerate-case theorem, as executable fact: the PREDICTED

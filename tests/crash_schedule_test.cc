@@ -194,6 +194,23 @@ TEST(CrashScheduleSweep, CoordinatorPlusAcceptorDoubleCrashSweep_Paxos) {
   EXPECT_EQ(runs, 25);
 }
 
+// A takeover's COMMIT can reach an NBC coordinator's inbox while the
+// coordinator's own commit force is delayed. Once the coordinator has
+// decided, its phase-2 wait must leave that queued COMMIT alone rather than
+// apply the outcome a second time, which the exactly-once oracle reports as a
+// re-driven effect. The random soak found this schedule; the digests above
+// do not reach it.
+TEST(CrashScheduleSweep, DecidedCoordinatorLeavesQueuedTakeoverCommitAlone) {
+  ExplorerConfig cfg = Config(CommitOptions::NonBlocking());
+  cfg.seed = 6;
+  const auto schedule = CrashSchedule::Parse(
+      "tm.nbc.commit_force.after@0#1=delay:357848;tm.sub.ack_force.before@2#2=crash;"
+      "tm.accept.replicate_force.after@1#1=delay:321544");
+  ASSERT_TRUE(schedule.ok());
+  const RunResult result = CrashExplorer(cfg).Run(*schedule);
+  EXPECT_TRUE(result.ok) << result.Explain() << "  replay: " << result.replay;
+}
+
 // --- Crash during recovery --------------------------------------------------------
 //
 // A base crash forces a real restart; the sweep then crashes the site AGAIN at
@@ -243,6 +260,9 @@ TEST(CrashScheduleSweep, CrashDuringRecoverySweep_Paxos) {
 // under both variants: every single crash under NBC and Paxos (F = 1 on three
 // sites, F = 2 on five), plus seeded multi-fault schedules, which alone reach
 // NBC's block after a short ack round and Paxos's promised-empty testimony.
+// The same two shapes under the three two-phase variants pin the blocked
+// subordinate's status queries and the unoptimized and intermediate
+// subordinate commit paths under faults.
 
 uint64_t TraceDigest(CrashExplorer& explorer, const std::vector<CrashSchedule>& schedules) {
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -276,6 +296,12 @@ TEST(CrashScheduleDigest, FailpointTracesMatchPinnedDigests) {
       {"paxos F=2 single crash", CommitOptions::Paxos(2), 5, false, 117, 0x581650f2ac0f2343ULL},
       {"nbc random", CommitOptions::NonBlocking(), 3, true, 300, 0x0ce16ad9ebf1d09dULL},
       {"paxos F=1 random", CommitOptions::Paxos(1), 3, true, 300, 0xb503375b8eb49b0eULL},
+      {"2pc single crash", CommitOptions::Optimized(), 3, false, 80, 0x7ac1a53e110d85d9ULL},
+      {"2pc-unopt single crash", CommitOptions::Unoptimized(), 3, false, 81, 0xb29db06e11bd10bcULL},
+      {"2pc-int single crash", CommitOptions::Intermediate(), 3, false, 89, 0xd8e86d7f2fa98c15ULL},
+      {"2pc random", CommitOptions::Optimized(), 3, true, 300, 0xffb6b51608cd54c1ULL},
+      {"2pc-unopt random", CommitOptions::Unoptimized(), 3, true, 300, 0xe8e2b5a19c93b0a3ULL},
+      {"2pc-int random", CommitOptions::Intermediate(), 3, true, 300, 0x944facc1e2bf369dULL},
   };
   for (const Set& set : sets) {
     ExplorerConfig cfg = Config(set.options);

@@ -287,6 +287,57 @@ TEST(TranManTest, VoteNoAbortsTheWholeTransaction) {
   EXPECT_EQ(*read_back, 100);
 }
 
+// Admission sheds a PREPARE whose client deadline passed while it queued for
+// a worker, so the subordinate's own deadline check sees only a deadline that
+// falls inside the PREPARE event's CPU burst. A 500 ms burst makes that
+// window wide enough to aim at: the subordinate must refuse with an abort
+// vote before forcing a prepare record, undo its update, release its locks
+// and forget the family. The 2 s retry interval keeps the coordinator from
+// retransmitting PREPARE before the vote is back.
+TEST(TranManTest, SubordinateRefusesPrepareWhoseDeadlinePassesDuringItsEvent) {
+  WorldConfig cfg = QuietConfig(2);
+  cfg.tranman.cpu_per_event = Msec(500);
+  cfg.tranman.retry_interval = Sec(2.0);
+  Rig rig(cfg);
+  rig.world.failpoints().set_recording(true);
+  FamilyId family;
+  auto status = rig.world.RunSync([](AppClient& app, FamilyId* out) -> Async<Status> {
+    auto begin = co_await app.Begin();
+    const Tid tid = *begin;
+    *out = tid.family;
+    co_await app.WriteInt(tid, Rig::ServerName(0), "acct", 70);
+    co_await app.WriteInt(tid, Rig::ServerName(1), "acct", 130);
+    // The commit call takes one burst at the coordinator before PREPARE goes
+    // out, and the subordinate admits PREPARE about 10 ms later, so a
+    // deadline 750 ms out passes during the subordinate's own burst.
+    app.set_deadline(app.home().site().sched().now() + Msec(750));
+    Status st = co_await app.Commit(tid);
+    app.set_deadline(0);
+    co_return st;
+  }(rig.app, &family));
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->code(), StatusCode::kAborted) << status->ToString();
+
+  const TranManCounters& sub = rig.world.site(1).tranman().counters();
+  EXPECT_EQ(sub.deadline_shed, 1u);
+  EXPECT_EQ(sub.prepares_shed, 0u) << "admission shed the PREPARE before the check ran";
+  EXPECT_EQ(rig.world.failpoints().hits("tm.sub.prepare_force.before", SiteId{1}), 0u);
+  EXPECT_EQ(rig.world.failpoints().hits("tm.send.PREPARE", SiteId{0}), 1u);
+  EXPECT_EQ(rig.world.failpoints().hits("tm.send.VOTE", SiteId{1}), 1u);
+  EXPECT_EQ(rig.world.site(1).tranman().QueryState(family), TmTxnState::kUnknown);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(rig.server(i)->locks().held_lock_count(), 0u) << "site " << i;
+    auto read_back = rig.world.RunSync([](AppClient& app, int site) -> Async<int64_t> {
+      auto begin = co_await app.Begin();
+      auto v = co_await app.ReadInt(*begin, Rig::ServerName(site), "acct");
+      co_await app.Commit(*begin);
+      co_return v.value_or(-1);
+    }(rig.app, i));
+    ASSERT_TRUE(read_back.has_value());
+    EXPECT_EQ(*read_back, 100) << "site " << i;
+  }
+}
+
 TEST(TranManTest, MoneyConservedAcrossTransfer) {
   Rig rig(QuietConfig(2));
   auto status = rig.world.RunSync([](AppClient& app) -> Async<Status> {
