@@ -6,14 +6,17 @@
 //
 // Reported per run:
 //   - host wall-clock for the simulation and events simulated per host second
-//     (the recorder's hooks sit on the DataServer/TranMan hot paths, so this
-//     is where recording overhead shows up);
+//     (Site::RecordServed and Site::RecordOutcome sit on the DataServer and
+//     TranMan hot paths, so this is where recording overhead shows up; off,
+//     each is one branch);
 //   - history events captured;
 //   - mean virtual commit latency seen by the clients (must be identical in
 //     both runs: recording must never perturb the simulation's timeline);
 //   - host wall-clock of IsolationOracle::Check over the recorded history.
 //
-// The last line is a machine-readable JSON summary for trend tracking.
+// The last line is a machine-readable JSON summary for trend tracking. The
+// exit status is non-zero unless both runs share one virtual timeline and the
+// oracle passes the recorded history.
 #include <chrono>
 #include <cstdio>
 

@@ -44,11 +44,6 @@ class Rng {
   // Uniform integer in [0, bound).
   uint64_t NextBounded(uint64_t bound) { return bound == 0 ? 0 : Next() % bound; }
 
-  // Uniform integer in [lo, hi] inclusive.
-  int64_t NextInRange(int64_t lo, int64_t hi) {
-    return lo + static_cast<int64_t>(NextBounded(static_cast<uint64_t>(hi - lo + 1)));
-  }
-
   bool NextBool(double p_true) { return NextDouble() < p_true; }
 
   // Exponential with the given mean (>= 0).
@@ -58,17 +53,6 @@ class Rng {
       u = 1e-300;
     }
     return -mean * std::log(1.0 - u);
-  }
-
-  // Standard normal via Box-Muller (one value per call; simple over fast).
-  double NextNormal(double mean, double stddev) {
-    double u1 = NextDouble();
-    double u2 = NextDouble();
-    if (u1 <= 0.0) {
-      u1 = 1e-300;
-    }
-    const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-    return mean + stddev * z;
   }
 
   // A fresh generator derived from this one; use to give each component its own

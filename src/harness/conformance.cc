@@ -84,7 +84,7 @@ ConformanceReport RunConformanceScenario(const ConformanceScenario& scenario,
 
   report.predicted = ExpectedMinimalTxnCounts(scenario.options, scenario.kind,
                                               scenario.subordinates, scenario.outcome);
-  report.measured = world.cost_ledger().ConformanceCounts();
+  report.measured = world.cost_ledger().Counts();
   report.diff = CostLedger::Diff(report.predicted, report.measured);
   report.counts_match = report.diff.empty();
 

@@ -1,4 +1,4 @@
-// IsolationOracle: checks a recorded operation history (src/harness/history.h)
+// IsolationOracle: checks a recorded operation history (src/stats/history.h)
 // for serializability, Jepsen-style, and names the anomaly when it is not.
 //
 // The check generalizes the serial-replay argument the fault-free
@@ -38,7 +38,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/harness/history.h"
+#include "src/stats/history.h"
 
 namespace camelot {
 

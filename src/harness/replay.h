@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/harness/history.h"
+#include "src/stats/history.h"
 #include "src/tranman/local_api.h"
 
 namespace camelot {

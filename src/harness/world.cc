@@ -15,8 +15,7 @@ CamelotSite::CamelotSite(Scheduler& sched, Network& net, NameService& names, Sit
       log_(sched, config.log),
       diskmgr_(sched, log_, config.disk),
       tranman_(site_, net, comman_, log_, config.tranman),
-      recovery_(site_, diskmgr_, log_, tranman_),
-      history_(&history) {
+      recovery_(site_, diskmgr_, log_, tranman_) {
   site_.AddCrashListener([this] {
     log_.OnCrash();
     diskmgr_.OnCrash();
@@ -36,18 +35,9 @@ CamelotSite::CamelotSite(Scheduler& sched, Network& net, NameService& names, Sit
   tranman_.set_failpoints(handle);
   recovery_.set_failpoints(handle);
   failpoint_handle_ = handle;
-  // Every top-level outcome transition this site applies lands in the
-  // world-wide history (a no-op while the recorder is disabled).
-  tranman_.set_outcome_hook([this](const FamilyId& family, bool committed) {
-    history_->Record(HistoryEvent{
-        committed ? HistoryOp::kCommit : HistoryOp::kAbort, site_.sched().now(),
-        site_.id(), Tid{family, 0, 0}, std::string(), std::string(), Bytes()});
-  });
-  // Likewise one per-site recorder into the world's cost ledger: the IPC
-  // layer and the stable log tag their primitives with this site's id.
-  const CostRecorder recorder(&cost_ledger, id);
-  site_.set_cost_recorder(recorder);
-  log_.set_cost_recorder(recorder);
+  // Components record through their Site, which stamps this site's id into
+  // the world's ledger and history.
+  site_.set_recorders(&cost_ledger, &history);
   // Media recovery: a CRC-failing data page (foreground read or background
   // scrub) is rebuilt by redoing its history from the log.
   diskmgr_.set_media_repair([this](std::string segment, std::string object) {
@@ -71,17 +61,6 @@ DataServer* CamelotSite::AddServer(const std::string& name, ServerConfig config)
   auto server = std::make_unique<DataServer>(site_, name, diskmgr_, names_, config);
   DataServer* raw = server.get();
   raw->set_failpoints(failpoint_handle_);
-  raw->set_history_hook([this, raw](const Tid& tid, const std::string& object,
-                                    const Bytes& value, ServerHistoryOp op) {
-    HistoryOp hop = HistoryOp::kRead;
-    if (op == ServerHistoryOp::kWrite) {
-      hop = HistoryOp::kWrite;
-    } else if (op == ServerHistoryOp::kInit) {
-      hop = HistoryOp::kInit;
-    }
-    history_->Record(HistoryEvent{hop, site_.sched().now(), site_.id(), tid, raw->name(),
-                                  object, value});
-  });
   servers_.emplace(name, std::move(server));
   return raw;
 }
@@ -101,7 +80,6 @@ std::map<std::string, DataServer*> CamelotSite::ServerMap() {
 
 World::World(WorldConfig config)
     : config_(config), sched_(config.seed), net_(sched_, config.net) {
-  net_.set_cost_ledger(&cost_ledger_);
   for (int i = 0; i < config.site_count; ++i) {
     sites_.push_back(std::make_unique<CamelotSite>(sched_, net_, names_,
                                                    SiteId{static_cast<uint32_t>(i)}, config_,

@@ -16,7 +16,6 @@
 
 #include "src/base/failpoint.h"
 #include "src/comman/comman.h"
-#include "src/harness/history.h"
 #include "src/diskmgr/disk_manager.h"
 #include "src/ipc/name_service.h"
 #include "src/ipc/netmsg.h"
@@ -26,6 +25,7 @@
 #include "src/server/data_server.h"
 #include "src/sim/scheduler.h"
 #include "src/stats/cost_ledger.h"
+#include "src/stats/history.h"
 #include "src/tranman/tranman.h"
 #include "src/wal/stable_log.h"
 
@@ -85,7 +85,6 @@ class CamelotSite {
   TranMan tranman_;
   RecoveryManager recovery_;
   std::map<std::string, std::unique_ptr<DataServer>> servers_;
-  HistoryRecorder* history_;       // World-wide; hooks installed per component.
   Failpoints failpoint_handle_;    // Shared by late-added servers (AddServer).
   RecoveryReport last_recovery_;
   RecoveryTotals recovery_totals_;
@@ -119,7 +118,7 @@ class World {
 
   // The world-wide operation history (off until history().set_enabled(true)):
   // every served read/write and top-level outcome transition, the input the
-  // IsolationOracle checks. See src/harness/history.h.
+  // IsolationOracle checks. See src/stats/history.h.
   HistoryRecorder& history() { return history_; }
 
   // Drives the simulation.
@@ -168,8 +167,8 @@ class World {
   Network net_;
   NameService names_;
   FailpointRegistry failpoints_;  // Declared before sites_: handles point here.
-  CostLedger cost_ledger_;        // Likewise: per-site recorders point here.
-  HistoryRecorder history_;       // Likewise: per-site hooks point here.
+  CostLedger cost_ledger_;        // Likewise: every Site records here.
+  HistoryRecorder history_;       // Likewise.
   std::vector<std::unique_ptr<CamelotSite>> sites_;
 };
 

@@ -55,11 +55,6 @@ struct IpcConfig {
   // 0 disables the bottleneck (the default for latency experiments, where one
   // transaction runs at a time and queueing never occurs).
   SimDuration kernel_cpu_per_ipc = 0;
-
-  // Expected round trip of a Camelot remote RPC (the paper's 28.5 ms).
-  SimDuration ExpectedRemoteRpc() const {
-    return netmsg_rpc + comman_ipc_total + 2 * comman_cpu_per_site;
-  }
 };
 
 // Per-call latency attribution, for the Section 4.1 breakdown bench.

@@ -115,8 +115,8 @@ Async<RpcResult> NetMsgServer::Call(SiteId dst, const std::string& service, uint
   const SimTime start = site_.sched().now();
   const uint32_t inc = site_.incarnation();
   const IpcConfig& ipc = site_.ipc();
-  site_.cost_recorder().Record(ctx.tid.family, "ipc", via_comman ? "comman" : "netmsg",
-                               CostPrimitive::kRemoteRpc);
+  site_.RecordCost(ctx.tid.family, "ipc", via_comman ? "comman" : "netmsg",
+                   CostPrimitive::kRemoteRpc);
 
   // Caller-side ComMan interposition: client->ComMan->NMS instead of client->NMS.
   const SimDuration comman_leg = via_comman

@@ -62,7 +62,6 @@ class NetMsgServer {
   // Virtual times of the most recent retransmits (bounded log), so tests can
   // assert concurrent callers do not retransmit in lockstep waves.
   const std::vector<SimTime>& retransmit_times() const { return retransmit_times_; }
-  void clear_retransmit_times() { retransmit_times_.clear(); }
 
  private:
   struct PendingCall {

@@ -8,9 +8,8 @@ namespace {
 
 // "server:3" and "server:7" are the same kind of IPC target; the ledger keys
 // by the service family, not the instance.
-std::string ServicePhase(const std::string& service) {
-  const size_t colon = service.find(':');
-  return colon == std::string::npos ? service : service.substr(0, colon);
+std::string_view ServicePhase(std::string_view service) {
+  return service.substr(0, service.find(':'));
 }
 
 }  // namespace
@@ -18,6 +17,21 @@ std::string ServicePhase(const std::string& service) {
 Site::Site(Scheduler& sched, Network& net, SiteId id, IpcConfig ipc_config)
     : sched_(sched), net_(net), id_(id), ipc_config_(ipc_config), kernel_(sched) {
   net_.RegisterSite(id_);
+}
+
+void Site::RecordCost(const FamilyId& family, std::string_view role, std::string_view phase,
+                      CostPrimitive primitive) {
+  if (ledger_ != nullptr) {
+    ledger_->Record(CostEvent{family, id_, std::string(role), std::string(phase), primitive});
+  }
+}
+
+void Site::RecordOutcome(const FamilyId& family, bool committed) {
+  if (recording_history()) {
+    history_->Record(HistoryEvent{committed ? HistoryOp::kCommit : HistoryOp::kAbort,
+                                  sched_.now(), id_, Tid{family, 0, 0}, std::string(),
+                                  std::string(), Bytes()});
+  }
 }
 
 void Site::Crash() {
@@ -63,7 +77,7 @@ Async<RpcResult> Site::CallLocal(const std::string& service, uint32_t method, By
     cost = ipc_config_.local_out_of_line;
     primitive = CostPrimitive::kLocalOutOfLine;
   }
-  cost_recorder_.Record(ctx.tid.family, "ipc", ServicePhase(service), primitive);
+  RecordCost(ctx.tid.family, "ipc", ServicePhase(service), primitive);
   const uint32_t inc = incarnation_;
   co_await sched_.Delay(cost / 2);  // Request transfer.
   if (!up_ || incarnation_ != inc) {
@@ -94,8 +108,7 @@ void Site::NotifyLocal(const std::string& service, uint32_t method, Bytes body, 
   if (!up_) {
     return;
   }
-  cost_recorder_.Record(ctx.tid.family, "ipc", ServicePhase(service),
-                        CostPrimitive::kLocalOneway);
+  RecordCost(ctx.tid.family, "ipc", ServicePhase(service), CostPrimitive::kLocalOneway);
   sched_.Spawn(RunOneWay(this, service, method, std::move(body), ctx, ipc_config_.local_oneway,
                          incarnation_));
 }

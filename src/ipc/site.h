@@ -5,12 +5,18 @@
 // Recovery), provides local IPC with Mach-like costs, and implements crash /
 // restart with an incarnation counter so that work spawned before a crash can
 // detect that its world is gone.
+//
+// A Site is also the one place its components record what they observe: the
+// cost primitives they execute (into the world's CostLedger) and the reads,
+// writes and outcomes they serve (into the world's HistoryRecorder). Every
+// event carries this site's id; history events also carry its virtual time.
 #ifndef SRC_IPC_SITE_H_
 #define SRC_IPC_SITE_H_
 
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -22,6 +28,7 @@
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/stats/cost_ledger.h"
+#include "src/stats/history.h"
 
 namespace camelot {
 
@@ -39,10 +46,31 @@ class Site {
   // Experiments tune IPC costs between runs (never mid-call).
   IpcConfig& mutable_ipc() { return ipc_config_; }
 
-  // Install the per-site cost recorder (inert by default). Every local IPC
-  // records one ledger event keyed by the target service family.
-  void set_cost_recorder(CostRecorder recorder) { cost_recorder_ = recorder; }
-  const CostRecorder& cost_recorder() const { return cost_recorder_; }
+  // --- Recording ---------------------------------------------------------------
+  // Installs the world's ledger and history (either may be null); a site with
+  // neither records nothing. Failpoints are wired separately: they control
+  // the run, where recording only observes it.
+  void set_recorders(CostLedger* ledger, HistoryRecorder* history) {
+    ledger_ = ledger;
+    history_ = history;
+  }
+
+  // One cost-model primitive executed here on behalf of `family`. Every local
+  // IPC records one, keyed by the target service family.
+  void RecordCost(const FamilyId& family, std::string_view role, std::string_view phase,
+                  CostPrimitive primitive);
+
+  // A read or write a data server served, or a setup install (kInit). While
+  // history is off this is one branch: no event is built.
+  void RecordServed(HistoryOp op, const Tid& tid, const std::string& server,
+                    const std::string& object, const Bytes& value) {
+    if (recording_history()) {
+      history_->Record(HistoryEvent{op, sched_.now(), id_, tid, server, object, value});
+    }
+  }
+
+  // A top-level commit or abort transition this site applied.
+  void RecordOutcome(const FamilyId& family, bool committed);
 
   // --- Liveness ---------------------------------------------------------------
   bool up() const { return up_; }
@@ -63,7 +91,6 @@ class Site {
 
   // --- Services ---------------------------------------------------------------
   void RegisterService(const std::string& name, Handler handler);
-  bool HasService(const std::string& name) const { return services_.contains(name); }
 
   // Synchronous local RPC to a service on this site. Applies the Mach local IPC
   // cost (split request/reply); `to_data_server` selects the heavier
@@ -82,12 +109,15 @@ class Site {
                             RpcContext ctx);
 
  private:
+  bool recording_history() const { return history_ != nullptr && history_->enabled(); }
+
   Scheduler& sched_;
   Network& net_;
   SiteId id_;
   IpcConfig ipc_config_;
   SimMutex kernel_;  // The single master-processor run queue (see IpcConfig).
-  CostRecorder cost_recorder_;
+  CostLedger* ledger_ = nullptr;
+  HistoryRecorder* history_ = nullptr;
   bool up_ = true;
   uint32_t incarnation_ = 0;
   std::unordered_map<std::string, Handler> services_;

@@ -93,19 +93,6 @@ bool LockManager::Holds(const Tid& tid, const std::string& object, LockMode mode
   return false;
 }
 
-bool LockManager::FamilyHolds(const FamilyId& family, const std::string& object) const {
-  auto it = locks_.find(object);
-  if (it == locks_.end()) {
-    return false;
-  }
-  for (const Holder& h : it->second.holders) {
-    if (h.tid.family == family) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void LockManager::GrantWaiters(const std::string& /*object*/, LockState& state) {
   while (!state.waiters.empty()) {
     auto& front = state.waiters.front();

@@ -36,10 +36,6 @@ namespace camelot {
 
 enum class LockMode : uint8_t { kShared = 0, kExclusive = 1 };
 
-inline const char* LockModeName(LockMode m) {
-  return m == LockMode::kShared ? "S" : "X";
-}
-
 struct LockCounters {
   uint64_t acquisitions = 0;
   uint64_t immediate_grants = 0;
@@ -66,8 +62,6 @@ class LockManager {
 
   // True if `tid` (itself, not an ancestor) holds `object` at >= `mode`.
   bool Holds(const Tid& tid, const std::string& object, LockMode mode) const;
-  // True if any member of the family holds `object`.
-  bool FamilyHolds(const FamilyId& family, const std::string& object) const;
 
   // Releases one lock held by `tid`; no-op if not held.
   void Release(const Tid& tid, const std::string& object);

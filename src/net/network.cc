@@ -24,10 +24,6 @@ void Network::Bind(SiteId site, ServiceId service, std::function<void(Datagram)>
   bindings_[BindingKey(site, service)] = std::move(deliver);
 }
 
-void Network::Unbind(SiteId site, ServiceId service) {
-  bindings_.erase(BindingKey(site, service));
-}
-
 SimTime Network::OccupyNic(SiteState& sender, SimDuration occupancy) {
   const SimTime start = std::max(sched_.now(), sender.nic_free_at);
   sender.nic_free_at = start + occupancy;
@@ -94,10 +90,6 @@ void Network::Send(Datagram dg) {
     return;  // A crashed site sends nothing.
   }
   ++counters_.datagrams_sent;
-  if (cost_ledger_ != nullptr) {
-    cost_ledger_->Record(
-        CostEvent{FamilyId{kInvalidSite, 0}, dg.src, "net", "send", CostPrimitive::kDatagram});
-  }
   if (LoseOrDrop(dg)) {
     return;
   }
@@ -148,10 +140,6 @@ void Network::Multicast(SiteId src, const std::vector<SiteId>& dsts, ServiceId s
   for (SiteId dst : dsts) {
     Datagram dg{src, dst, service, type, body};
     ++counters_.datagrams_sent;
-    if (cost_ledger_ != nullptr) {
-      cost_ledger_->Record(
-          CostEvent{FamilyId{kInvalidSite, 0}, src, "net", "multicast", CostPrimitive::kDatagram});
-    }
     if (LoseOrDrop(dg)) {
       continue;
     }
@@ -195,11 +183,6 @@ void Network::RestartSite(SiteId site) {
   CAMELOT_CHECK(it != sites_.end());
   it->second.up = true;
   it->second.nic_free_at = sched_.now();
-}
-
-bool Network::IsUp(SiteId site) const {
-  auto it = sites_.find(site);
-  return it != sites_.end() && it->second.up;
 }
 
 Status Network::SetPartition(std::vector<std::vector<SiteId>> groups) {

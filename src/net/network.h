@@ -32,7 +32,6 @@
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/sim/scheduler.h"
-#include "src/stats/cost_ledger.h"
 
 namespace camelot {
 
@@ -112,7 +111,6 @@ class Network {
   // Binds a handler invoked (at delivery time) for datagrams addressed to
   // (site, service). Typically enqueues into a process mailbox.
   void Bind(SiteId site, ServiceId service, std::function<void(Datagram)> deliver);
-  void Unbind(SiteId site, ServiceId service);
 
   // --- Data path ------------------------------------------------------------
   // Fire-and-forget unreliable datagram.
@@ -125,7 +123,6 @@ class Network {
 
   // If true, Send() to multiple destinations via SendToAll uses Multicast.
   void set_use_multicast(bool v) { use_multicast_ = v; }
-  bool use_multicast() const { return use_multicast_; }
 
   // Fan-out honoring the multicast setting (the commit protocols call this).
   void SendToAll(SiteId src, const std::vector<SiteId>& dsts, ServiceId service, uint32_t type,
@@ -137,7 +134,6 @@ class Network {
   // --- Failure injection ------------------------------------------------------
   void CrashSite(SiteId site);
   void RestartSite(SiteId site);
-  bool IsUp(SiteId site) const;
 
   // Splits sites into groups; traffic crosses a group boundary only while no
   // partition is installed. Sites absent from every group are isolated. An
@@ -166,12 +162,6 @@ class Network {
 
   const NetConfig& config() const { return config_; }
   const NetCounters& counters() const { return counters_; }
-  void ResetCounters() { counters_ = NetCounters{}; }
-
-  // Site-level cost shadow: every attempted send records net/send/dgram (or
-  // net/multicast/dgram per destination) against the sending site. Family
-  // attribution happens higher up, in TranMan's ledger events.
-  void set_cost_ledger(CostLedger* ledger) { cost_ledger_ = ledger; }
 
  private:
   struct SiteState {
@@ -191,7 +181,6 @@ class Network {
   Scheduler& sched_;
   NetConfig config_;
   Rng rng_;
-  CostLedger* cost_ledger_ = nullptr;
   bool use_multicast_ = false;
   bool partitioned_ = false;
   std::unordered_map<SiteId, SiteState> sites_;

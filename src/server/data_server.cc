@@ -27,9 +27,7 @@ DataServer::DataServer(Site& site, std::string name, DiskManager& diskmgr, NameS
 }
 
 void DataServer::CreateObjectForSetup(const std::string& object, Bytes value) {
-  if (history_hook_) {
-    history_hook_(kInvalidTid, object, value, ServerHistoryOp::kInit);
-  }
+  site_.RecordServed(HistoryOp::kInit, kInvalidTid, name_, object, value);
   diskmgr_.RecoveryWrite(name_, object, std::move(value));
 }
 
@@ -180,9 +178,7 @@ Async<RpcResult> DataServer::HandleRead(const Tid& tid, const std::string& objec
   if (!value.ok()) {
     co_return RpcResult{value.status(), {}};
   }
-  if (history_hook_) {
-    history_hook_(tid, object, *value, ServerHistoryOp::kRead);
-  }
+  site_.RecordServed(HistoryOp::kRead, tid, name_, object, *value);
   ++counters_.reads;
   ByteWriter w;
   w.Blob(*value);
@@ -234,9 +230,7 @@ Async<RpcResult> DataServer::HandleWrite(const Tid& tid, const std::string& obje
   if (!written.ok()) {
     co_return RpcResult{std::move(written), {}};
   }
-  if (history_hook_) {
-    history_hook_(tid, object, value, ServerHistoryOp::kWrite);
-  }
+  site_.RecordServed(HistoryOp::kWrite, tid, name_, object, value);
   families_[tid.family].updates.push_back(UpdateEntry{tid, object, std::move(old_value),
                                                       std::move(value), lsn});
   ++counters_.writes;

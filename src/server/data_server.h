@@ -10,11 +10,16 @@
 // The server's volatile state (join table, per-family update lists, locks) is
 // lost on a crash; its durable state is whatever the disk manager and log
 // preserve, which the recovery module repairs at restart.
+//
+// Every setup install and every read or write the server serves is reported
+// to its Site (Site::RecordServed), the input of the isolation oracle.
+// Recovery replays and abort compensation are NOT reported: they
+// reconstruct or cancel writes the history already holds, and re-reporting
+// them would corrupt a serial replay.
 #ifndef SRC_SERVER_DATA_SERVER_H_
 #define SRC_SERVER_DATA_SERVER_H_
 
 #include <deque>
-#include <functional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -52,14 +57,6 @@ struct ServerCounters {
   uint64_t deadline_rejects = 0;
 };
 
-// What a history hook observes: the setup install, or a transactional
-// read/write this server served. The harness's HistoryRecorder subscribes via
-// set_history_hook; the hook is a plain std::function so this layer stays
-// independent of the harness.
-enum class ServerHistoryOp : uint8_t { kInit, kRead, kWrite };
-using ServerHistoryHook = std::function<void(const Tid& tid, const std::string& object,
-                                             const Bytes& value, ServerHistoryOp op)>;
-
 class DataServer {
  public:
   DataServer(Site& site, std::string name, DiskManager& diskmgr, NameService& names,
@@ -68,11 +65,6 @@ class DataServer {
   const std::string& name() const { return name_; }
   LockManager& locks() { return locks_; }
   const ServerCounters& counters() const { return counters_; }
-
-  // Observes served reads/writes (and setup installs). Recovery replays and
-  // abort compensation are NOT reported — they reconstruct or cancel writes
-  // the hook already saw, and re-reporting would corrupt a serial replay.
-  void set_history_hook(ServerHistoryHook hook) { history_hook_ = std::move(hook); }
 
   // Failpoint handle for the abort/undo path (point "server.undo": a kDrop
   // arm skips one compensation write — the injected-anomaly lever the
@@ -138,7 +130,6 @@ class DataServer {
   std::set<FamilyId> concluded_;
   std::deque<FamilyId> concluded_order_;
   ServerCounters counters_;
-  ServerHistoryHook history_hook_;
   Failpoints failpoints_;
   int inject_vote_no_ = 0;
 };

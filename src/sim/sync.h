@@ -74,11 +74,6 @@ Async<void> JoinRunner(Async<T> task, std::vector<std::optional<T>>* out, size_t
   done->Send(index);
 }
 
-inline Async<void> JoinRunnerVoid(Async<void> task, Channel<size_t>* done, size_t index) {
-  co_await std::move(task);
-  done->Send(index);
-}
-
 }  // namespace internal
 
 template <typename T>
@@ -98,17 +93,6 @@ Async<std::vector<T>> JoinAll(Scheduler& sched, std::vector<Async<T>> tasks) {
     out.push_back(std::move(*r));
   }
   co_return out;
-}
-
-inline Async<void> JoinAllVoid(Scheduler& sched, std::vector<Async<void>> tasks) {
-  const size_t n = tasks.size();
-  Channel<size_t> done(sched);
-  for (size_t i = 0; i < n; ++i) {
-    sched.Spawn(internal::JoinRunnerVoid(std::move(tasks[i]), &done, i));
-  }
-  for (size_t i = 0; i < n; ++i) {
-    co_await done.Receive();
-  }
 }
 
 }  // namespace camelot

@@ -44,31 +44,10 @@ CountVector CostLedger::Counts() const {
   return counts;
 }
 
-CountVector CostLedger::CountsForFamily(const FamilyId& family) const {
-  CountVector counts;
-  for (const CostEvent& event : events_) {
-    if (event.family == family) {
-      ++counts[Key(event)];
-    }
-  }
-  return counts;
-}
-
-CountVector CostLedger::ConformanceCounts() const {
-  CountVector counts;
-  for (const CostEvent& event : events_) {
-    if (event.role == "net" || event.role == "wal") {
-      continue;
-    }
-    ++counts[Key(event)];
-  }
-  return counts;
-}
-
 CountVector CostLedger::ProtocolCounts() const {
   CountVector counts;
   for (const CostEvent& event : events_) {
-    if (event.role == "net" || event.role == "wal" || event.role == "ipc") {
+    if (event.role == "ipc") {
       continue;
     }
     ++counts[Key(event)];

@@ -9,12 +9,14 @@
 // run, so an extra log force or datagram fails tests instead of silently
 // invalidating every reproduced figure.
 //
-// Count vectors are keyed "role/phase/primitive", e.g.
+// Components record through their Site (Site::RecordCost), which stamps the
+// site id; a site with no ledger installed records nothing. Count vectors
+// are keyed "role/phase/primitive", e.g.
 //   coord/2pc.commit/force   sub/COMMIT-ACK/dgram   ipc/tranman/call
-// Roles "coord" and "sub" describe protocol work; "ipc" the local/remote IPC
-// layer; "net" and "wal" are site-level shadows of the same activity (every
-// datagram also appears as net/..., every force as wal/...) kept outside the
-// conformance domain.
+// Roles "coord", "sub", "acceptor", "takeover" and "peer" describe protocol
+// work, recorded by TranMan where the family and role are known; "ipc" the
+// local/remote IPC layer. Raw sends and log appends are counted per site by
+// NetCounters and LogCounters, not here.
 #ifndef SRC_STATS_COST_LEDGER_H_
 #define SRC_STATS_COST_LEDGER_H_
 
@@ -46,7 +48,7 @@ const char* CostPrimitiveSuffix(CostPrimitive primitive);
 struct CostEvent {
   FamilyId family;    // Invalid origin when not attributable to one family.
   SiteId site;
-  std::string role;   // "coord", "sub", "ipc", "net", "wal", "peer", ...
+  std::string role;   // "coord", "sub", "acceptor", "takeover", "peer", "ipc", ...
   std::string phase;  // Protocol step ("2pc.commit") or message type ("PREPARE").
   CostPrimitive primitive = CostPrimitive::kLogForce;
 };
@@ -65,16 +67,12 @@ class CostLedger {
   size_t size() const { return events_.size(); }
   const std::vector<CostEvent>& events() const { return events_; }
 
-  // Every event, regardless of family or role.
+  // Every event: the conformance domain. Unexpected roles (e.g. "takeover"
+  // activity during a fault-free run) are deliberately kept so they show up
+  // in a diff.
   CountVector Counts() const;
-  // Only events attributed to `family`.
-  CountVector CountsForFamily(const FamilyId& family) const;
-  // The conformance domain: everything except the site-level "net" and "wal"
-  // shadows. Unexpected roles (e.g. "takeover" activity during a fault-free
-  // run) are deliberately kept so they show up in a diff.
-  CountVector ConformanceCounts() const;
-  // Protocol-only view: ConformanceCounts() minus the IPC layer ("ipc/...").
-  // This is what the explorers gate their discovery runs against.
+  // Protocol-only view: Counts() minus the IPC layer ("ipc/..."). This is
+  // what the explorers gate their discovery runs against.
   CountVector ProtocolCounts() const;
 
   // "role/phase/primitive-suffix" for one event.
@@ -90,31 +88,6 @@ class CostLedger {
 
  private:
   std::vector<CostEvent> events_;
-};
-
-// Per-site recording handle, wired through the runtime exactly like
-// Failpoints: a default-constructed recorder is inert, so production objects
-// carry one unconditionally and only worlds that install a ledger pay for
-// recording.
-class CostRecorder {
- public:
-  CostRecorder() = default;
-  CostRecorder(CostLedger* ledger, SiteId site) : ledger_(ledger), site_(site) {}
-
-  bool active() const { return ledger_ != nullptr; }
-  SiteId site() const { return site_; }
-
-  void Record(const FamilyId& family, std::string role, std::string phase,
-              CostPrimitive primitive) const {
-    if (ledger_ == nullptr) {
-      return;
-    }
-    ledger_->Record(CostEvent{family, site_, std::move(role), std::move(phase), primitive});
-  }
-
- private:
-  CostLedger* ledger_ = nullptr;
-  SiteId site_{};
 };
 
 }  // namespace camelot

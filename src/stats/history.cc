@@ -1,4 +1,4 @@
-#include "src/harness/history.h"
+#include "src/stats/history.h"
 
 #include <charconv>
 #include <cstdio>

@@ -10,11 +10,15 @@
 // initial state and checks that every committed read is explainable — the
 // serializability twin of the primitive-cost conformance gate.
 //
-// Recording is a single vector push per event (no I/O, no sim-time cost), so
-// both explorers keep it on for every schedule sweep and soak. Histories
-// serialize to a line-oriented replayable text format; a failing run dumps
-// its history and prints a CAMELOT_HISTORY= replay recipe (see
-// src/harness/replay.h) that reproduces the oracle verdict offline.
+// Components never see the recorder: they report through their Site
+// (Site::RecordServed, Site::RecordOutcome), which stamps the site id and
+// virtual time and, while recording is off, returns after one branch
+// without building an event. Recording is a single vector push per event
+// (no I/O, no sim-time cost), so both explorers keep it on for every
+// schedule sweep and soak. Histories serialize to a line-oriented replayable
+// text format; a failing run dumps its history and prints a CAMELOT_HISTORY=
+// replay recipe (see src/harness/replay.h) that reproduces the oracle
+// verdict offline.
 //
 // Deliberately NOT recorded, so a replay stays value-faithful:
 //   - recovery redo/undo and RestorePreparedUpdate (they reconstruct writes
@@ -23,8 +27,8 @@
 //     vanish, which the replay models by never applying them);
 //   - nested-subtree aborts (none of the gated workloads nest; see
 //     DESIGN.md "Isolation oracle and bank workload" for the limitation).
-#ifndef SRC_HARNESS_HISTORY_H_
-#define SRC_HARNESS_HISTORY_H_
+#ifndef SRC_STATS_HISTORY_H_
+#define SRC_STATS_HISTORY_H_
 
 #include <string>
 #include <string_view>
@@ -63,7 +67,7 @@ struct HistoryEvent {
 class HistoryRecorder {
  public:
   // Recording is off until a harness opts in (the explorers and the isolation
-  // tests do); a disabled recorder drops events at the cost of one branch.
+  // tests do); a disabled recorder drops events, and Site skips building them.
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
@@ -91,4 +95,4 @@ class HistoryRecorder {
 
 }  // namespace camelot
 
-#endif  // SRC_HARNESS_HISTORY_H_
+#endif  // SRC_STATS_HISTORY_H_

@@ -118,9 +118,7 @@ void TranMan::RecordOutcome(const FamilyId& family, bool committed) {
   } else {
     ++counters_.aborted;
   }
-  if (outcome_hook_) {
-    outcome_hook_(family, committed);
-  }
+  site_.RecordOutcome(family, committed);
 }
 
 bool TranMan::Decide(Family* fam, TmDecision decision) {
@@ -210,21 +208,13 @@ Async<bool> TranMan::ForceAt(const char* point, const FamilyId& family, Lsn lsn,
   }
   if (!Dead(inc)) {
     const ForceAttribution attr = AttributeForce(point);
-    site_.cost_recorder().Record(family, attr.role, attr.phase, CostPrimitive::kLogForce);
+    site_.RecordCost(family, attr.role, attr.phase, CostPrimitive::kLogForce);
     co_return true;
   }
   co_return false;
 }
 
-void TranMan::RecordSpool(const FamilyId& family, const char* role, const char* phase) {
-  site_.cost_recorder().Record(family, role, phase, CostPrimitive::kLogSpool);
-}
-
 void TranMan::RecordDatagram(const TmMsg& msg) {
-  const CostRecorder& recorder = site_.cost_recorder();
-  if (!recorder.active()) {
-    return;
-  }
   const char* role = "peer";
   switch (msg.type) {
     case TmMsgType::kPrepare:
@@ -255,7 +245,7 @@ void TranMan::RecordDatagram(const TmMsg& msg) {
     case TmMsgType::kSiteUp:
       break;
   }
-  recorder.Record(msg.tid.family, role, TmMsgTypeName(msg.type), CostPrimitive::kDatagram);
+  site_.RecordCost(msg.tid.family, role, TmMsgTypeName(msg.type), CostPrimitive::kDatagram);
 }
 
 bool TranMan::AtTransition(const char* transition) {
@@ -935,7 +925,7 @@ void TranMan::NotifyServersDropLocks(const Family& fam) {
 Async<bool> TranMan::AbortLocally(Family* fam, const char* role) {
   const uint32_t inc = site_.incarnation();
   log_.Append(LogRecord::Abort(fam->top));
-  RecordSpool(fam->top.family, role, "abort");
+  site_.RecordCost(fam->top.family, role, "abort", CostPrimitive::kLogSpool);
   co_await CallLocalServers(*fam, kSrvAbortFamily, EncodeTidOnly(fam->top), fam->top);
   co_return !Dead(inc);
 }
@@ -1268,7 +1258,7 @@ Async<void> TranMan::CoordinatorPhase2(FamilyId family, std::vector<SiteId> upda
   // Presumed abort epilogue: now that everyone wrote a commit record, the
   // coordinator may forget (End is never forced).
   log_.Append(LogRecord::End(fam->top));
-  RecordSpool(fam->top.family, "coord", "end");
+  site_.RecordCost(fam->top.family, "coord", "end", CostPrimitive::kLogSpool);
   if (fam->protocol != CommitProtocol::kTwoPhase) {
     comman_.Forget(fam->top.family);  // Keep the tombstone itself (change 4).
   } else {
@@ -1537,7 +1527,7 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
     }
   }
   log_.Append(LogRecord::Commit(fam->top, notify));
-  RecordSpool(fam->top.family, "coord", "paxos.commit");
+  site_.RecordCost(fam->top.family, "coord", "paxos.commit", CostPrimitive::kLogSpool);
   if (!Decide(fam, TmDecision::kCommit)) {
     co_return UnavailableError("site crashed");
   }
@@ -1890,7 +1880,7 @@ Async<void> TranMan::SubordinateCommit(Family* fam) {
   // commit record meanwhile guarantees the outcome.
   NotifyServersDropLocks(*fam);
   const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
-  RecordSpool(fam->top.family, "sub", "commit");
+  site_.RecordCost(fam->top.family, "sub", "commit", CostPrimitive::kLogSpool);
   site_.sched().Spawn(DelayedCommitAck(family_id, fam->top, fam->coordinator, lsn, inc));
   co_return;
 }
@@ -2206,7 +2196,7 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
   if (proposal == TmDecision::kCommit) {
     const Lsn commit_lsn = log_.Append(LogRecord::Commit(fam->top, {}));
     if (paxos) {
-      RecordSpool(fam->top.family, "takeover", "paxos.commit");
+      site_.RecordCost(fam->top.family, "takeover", "paxos.commit", CostPrimitive::kLogSpool);
     } else {
       if (!co_await ForceAt("tm.takeover.commit_force", fam->top.family, commit_lsn,
                             /*hold_worker=*/false)) {

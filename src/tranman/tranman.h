@@ -18,6 +18,10 @@
 //   - datagram timeout/retry with idempotent handlers (TranMans bypass the
 //     ComMan and talk raw datagrams, per the paper's footnote 1).
 //
+// Observation goes through the Site: every protocol force, spooled record and
+// datagram is one cost-ledger event tagged with the family and this site's
+// role in it, and every top-level outcome transition is one history event.
+//
 // Blocking semantics: a 2PC subordinate that loses its coordinator during the
 // window of vulnerability stays prepared, holding locks, periodically asking
 // the coordinator for status (observable via IsBlocked). The non-blocking
@@ -163,13 +167,6 @@ class TranMan {
   //     never prepared evaluate no point: a subordinate refusing a PREPARE,
   //     OrphanWatch, and HandleAbortMsg on an active family.
   void set_failpoints(Failpoints failpoints) { failpoints_ = std::move(failpoints); }
-
-  // Observes every TOP-LEVEL outcome transition this site applies — the same
-  // transitions counters().committed/aborted count, in the same order. The
-  // harness's HistoryRecorder subscribes (src/harness/history.h); nested
-  // subtree aborts are not reported because the family lives on.
-  using OutcomeHook = std::function<void(const FamilyId& family, bool committed)>;
-  void set_outcome_hook(OutcomeHook hook) { outcome_hook_ = std::move(hook); }
 
   // --- Introspection -------------------------------------------------------------
   TmTxnState QueryState(const FamilyId& family) const;
@@ -388,8 +385,9 @@ class TranMan {
   // Removes the family from the table; the unique_ptr moves to the graveyard
   // so coroutines holding Family* stay valid until the world ends.
   void RetireFamily(const FamilyId& id);
-  // Bumps the outcome counter and fires the outcome hook. Every top-level
-  // commit/abort transition funnels through here; nested aborts must not.
+  // Bumps the outcome counter and records the transition with the Site.
+  // Every top-level commit/abort transition funnels through here; nested
+  // aborts must not.
   void RecordOutcome(const FamilyId& family, bool committed);
   // The family's outcome transition: clears the blocked state, evaluates
   // tm.committed or tm.aborted, sets the state and records the outcome.
@@ -407,11 +405,9 @@ class TranMan {
   // successful force records one {family, role, phase, force} cost-ledger
   // event, with role/phase derived from the point name.
   Async<bool> ForceAt(const char* point, const FamilyId& family, Lsn lsn, bool hold_worker);
-  // Cost-ledger events for the primitives the static analysis predicts: an
-  // unforced protocol log append, and one datagram per (message, destination)
-  // — piggybacked off-path messages count as their own logical datagram, so
-  // the measured counts are independent of batching.
-  void RecordSpool(const FamilyId& family, const char* role, const char* phase);
+  // One cost-ledger datagram event per (message, destination) — piggybacked
+  // off-path messages count as their own logical datagram, so the measured
+  // counts are independent of batching.
   void RecordDatagram(const TmMsg& msg);
   // Evaluates "tm.<transition>" just before a family state change; true means
   // a crash fired and the caller must stop.
@@ -445,7 +441,6 @@ class TranMan {
   // Off-critical-path messages awaiting piggybacking, per destination.
   std::unordered_map<SiteId, std::vector<TmMsg>> offpath_queue_;
   TranManCounters counters_;
-  OutcomeHook outcome_hook_;
 };
 
 }  // namespace camelot

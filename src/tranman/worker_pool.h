@@ -132,7 +132,6 @@ class WorkerPool {
     workers_ = n;
     Grant();
   }
-  void set_workers(size_t n) { Resize(n); }  // Back-compat alias.
 
   // Admission-queue bound for Admit() (0 = unbounded) and overload policy.
   void set_admission_limit(size_t n) { admit_limit_ = n; }
@@ -141,7 +140,6 @@ class WorkerPool {
   size_t workers() const { return workers_; }
   size_t available() const { return workers_ > in_use_ ? workers_ - in_use_ : 0; }
   size_t queued() const { return critical_.size() + admit_.size(); }
-  size_t admit_queued() const { return admit_.size(); }
   uint64_t events() const { return events_; }
   uint64_t queued_events() const { return queued_events_; }
   uint64_t shed_rejected() const { return shed_rejected_; }

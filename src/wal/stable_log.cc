@@ -30,7 +30,6 @@ Lsn StableLog::Append(const LogRecord& record) {
   tail_.insert(tail_.end(), header.begin(), header.end());
   tail_.insert(tail_.end(), payload.begin(), payload.end());
   ++counters_.appends;
-  cost_recorder_.Record(record.tid.family, "wal", "append", CostPrimitive::kLogSpool);
   return buffered_lsn();
 }
 
@@ -64,7 +63,6 @@ Async<bool> StableLog::AtWritePoint(const char* point, uint64_t epoch) {
 Async<bool> StableLog::Force(Lsn upto) {
   CAMELOT_CHECK(upto.value <= buffered_lsn().value);
   ++counters_.force_requests;
-  cost_recorder_.Record(FamilyId{kInvalidSite, 0}, "wal", "force", CostPrimitive::kLogForce);
   if (IsDurable(upto)) {
     co_return true;
   }

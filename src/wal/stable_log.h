@@ -29,7 +29,6 @@
 #include "src/base/failpoint.h"
 #include "src/base/storage_faults.h"
 #include "src/sim/channel.h"
-#include "src/stats/cost_ledger.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -148,19 +147,11 @@ class StableLog {
   // "wal.force.before_write" / "wal.force.after_write" (see base/failpoint.h).
   void set_failpoints(Failpoints failpoints) { failpoints_ = std::move(failpoints); }
 
-  // Site-level cost shadow: every Append records wal/append/spool and every
-  // Force request records wal/force/force (protocol-level attribution happens
-  // in TranMan, which knows the family and role).
-  void set_cost_recorder(CostRecorder recorder) { cost_recorder_ = recorder; }
-
-  void set_group_commit(bool on) { config_.group_commit = on; }
-  bool group_commit() const { return config_.group_commit; }
   // Enables/changes media faults mid-run (e.g. after a clean loading phase).
   void set_faults(const StorageFaultConfig& faults) { config_.faults = faults; }
   bool duplex() const { return config_.duplex; }
   const LogConfig& config() const { return config_; }
   const LogCounters& counters() const { return counters_; }
-  void ResetCounters() { counters_ = LogCounters{}; }
 
  private:
   struct ForceWaiter {
@@ -189,7 +180,6 @@ class StableLog {
   Scheduler& sched_;
   LogConfig config_;
   Failpoints failpoints_;
-  CostRecorder cost_recorder_;
   Bytes mirror_[2];          // Disk image(s), starting at base_offset_.
                              // mirror_[1] is live only when duplexing.
   uint64_t base_offset_ = 0; // Bytes reclaimed from the front (checkpointing).

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "src/base/types.h"
+#include "src/ipc/site.h"
+#include "src/net/network.h"
+#include "src/sim/scheduler.h"
+#include "src/stats/history.h"
 
 namespace camelot {
 namespace {
@@ -44,26 +48,11 @@ TEST(CostLedgerTest, CountsAggregateByKey) {
   EXPECT_EQ(counts.size(), 2u);
 }
 
-TEST(CostLedgerTest, CountsForFamilyFilters) {
-  CostLedger ledger;
-  ledger.Record(Event(0, "coord", "2pc.commit", CostPrimitive::kLogForce, /*family_seq=*/1));
-  ledger.Record(Event(0, "coord", "2pc.commit", CostPrimitive::kLogForce, /*family_seq=*/2));
-  const CountVector counts = ledger.CountsForFamily(FamilyId{SiteId{0}, 1});
-  EXPECT_EQ(counts.at("coord/2pc.commit/force"), 1);
-}
-
-TEST(CostLedgerTest, ConformanceCountsExcludeNetAndWalShadows) {
+TEST(CostLedgerTest, ProtocolCountsDropIpcLayer) {
   CostLedger ledger;
   ledger.Record(Event(0, "coord", "COMMIT", CostPrimitive::kDatagram));
-  ledger.Record(Event(0, "net", "COMMIT", CostPrimitive::kDatagram));
-  ledger.Record(Event(0, "wal", "force", CostPrimitive::kLogForce));
   ledger.Record(Event(0, "ipc", "tranman", CostPrimitive::kLocalIpc));
-  const CountVector conformance = ledger.ConformanceCounts();
-  EXPECT_EQ(conformance.count("net/COMMIT/dgram"), 0u);
-  EXPECT_EQ(conformance.count("wal/force/force"), 0u);
-  EXPECT_EQ(conformance.at("coord/COMMIT/dgram"), 1);
-  EXPECT_EQ(conformance.at("ipc/tranman/call"), 1);
-  // Protocol view additionally drops the IPC layer.
+  EXPECT_EQ(ledger.Counts().at("ipc/tranman/call"), 1);
   const CountVector protocol = ledger.ProtocolCounts();
   EXPECT_EQ(protocol.count("ipc/tranman/call"), 0u);
   EXPECT_EQ(protocol.at("coord/COMMIT/dgram"), 1);
@@ -74,7 +63,8 @@ TEST(CostLedgerTest, UnexpectedRolesStayInConformanceDomain) {
   // vanish into an exclusion list.
   CostLedger ledger;
   ledger.Record(Event(2, "takeover", "replicate", CostPrimitive::kLogForce));
-  EXPECT_EQ(ledger.ConformanceCounts().at("takeover/replicate/force"), 1);
+  EXPECT_EQ(ledger.Counts().at("takeover/replicate/force"), 1);
+  EXPECT_EQ(ledger.ProtocolCounts().at("takeover/replicate/force"), 1);
 }
 
 TEST(CostLedgerTest, DiffEmptyIffEqual) {
@@ -108,20 +98,88 @@ TEST(CostLedgerTest, RenderListsEveryEntry) {
   EXPECT_NE(rendered.find("c/d/dgram"), std::string::npos);
 }
 
-TEST(CostLedgerTest, DefaultRecorderIsInert) {
-  const CostRecorder recorder;
-  EXPECT_FALSE(recorder.active());
-  // Must not crash.
-  recorder.Record(FamilyId{}, "coord", "commit", CostPrimitive::kLogForce);
+// --- Recording through the Site -----------------------------------------------
+
+struct SiteRig {
+  SiteRig() : sched(1), net(sched, NetConfig{}), site(sched, net, SiteId{7}, IpcConfig{}) {
+    site.RegisterService("tranman:1", [](RpcContext, uint32_t, Bytes) -> Async<RpcResult> {
+      co_return RpcResult{OkStatus(), {}};
+    });
+  }
+
+  // One of each recording call, plus a local one-way IPC (which records an
+  // ipc/tranman/oneway cost event). Run the scheduler afterwards to deliver it.
+  void RecordOneOfEach(const Tid& tid) {
+    site.RecordCost(tid.family, "coord", "2pc.commit", CostPrimitive::kLogForce);
+    site.NotifyLocal("tranman:1", 0, Bytes(), RpcContext{SiteId{7}, tid, 0});
+    site.RecordServed(HistoryOp::kWrite, tid, "vault", "obj", Bytes{0x2a});
+    site.RecordOutcome(tid.family, /*committed=*/true);
+  }
+
+  Scheduler sched;
+  Network net;
+  Site site;
+};
+
+const Tid kTid{FamilyId{SiteId{7}, 3}, 0, 0};
+
+TEST(SiteRecordingTest, SiteWithoutStoresRecordsNothing) {
+  SiteRig rig;
+  CostLedger ledger;
+  HistoryRecorder history;
+  history.set_enabled(true);
+  rig.site.set_recorders(&ledger, &history);
+  rig.site.set_recorders(nullptr, nullptr);
+  rig.RecordOneOfEach(kTid);  // Must not crash.
+  rig.sched.RunUntilIdle();
+  EXPECT_EQ(ledger.size(), 0u);
+  EXPECT_EQ(history.size(), 0u);
 }
 
-TEST(CostLedgerTest, RecorderTagsSite) {
+TEST(SiteRecordingTest, CostEventsCarrySiteId) {
+  SiteRig rig;
   CostLedger ledger;
-  const CostRecorder recorder(&ledger, SiteId{7});
-  EXPECT_TRUE(recorder.active());
-  recorder.Record(FamilyId{}, "coord", "commit", CostPrimitive::kLogForce);
-  ASSERT_EQ(ledger.size(), 1u);
-  EXPECT_EQ(ledger.events()[0].site, SiteId{7});
+  rig.site.set_recorders(&ledger, nullptr);
+  rig.RecordOneOfEach(kTid);
+  rig.sched.RunUntilIdle();
+  ASSERT_EQ(ledger.size(), 2u);
+  for (const CostEvent& e : ledger.events()) {
+    EXPECT_EQ(e.site, SiteId{7});
+    EXPECT_EQ(e.family, kTid.family);
+  }
+  EXPECT_EQ(CostLedger::Key(ledger.events()[0]), "coord/2pc.commit/force");
+  // Local IPCs key by the service family, not the instance.
+  EXPECT_EQ(CostLedger::Key(ledger.events()[1]), "ipc/tranman/oneway");
+}
+
+TEST(SiteRecordingTest, HistoryEventsCarrySiteIdAndVirtualTime) {
+  SiteRig rig;
+  HistoryRecorder history;
+  history.set_enabled(true);
+  rig.site.set_recorders(nullptr, &history);
+  rig.sched.Post(Usec(2500), [&rig] { rig.RecordOneOfEach(kTid); });
+  rig.sched.RunUntilIdle();
+  ASSERT_EQ(history.size(), 2u);
+  EXPECT_EQ(history.events()[0],
+            (HistoryEvent{HistoryOp::kWrite, Usec(2500), SiteId{7}, kTid, "vault", "obj",
+                          Bytes{0x2a}}));
+  EXPECT_EQ(history.events()[1], (HistoryEvent{HistoryOp::kCommit, Usec(2500), SiteId{7},
+                                               kTid, std::string(), std::string(), Bytes()}));
+}
+
+TEST(SiteRecordingTest, HistoryStaysEmptyWhileDisabled) {
+  SiteRig rig;
+  CostLedger ledger;
+  HistoryRecorder history;
+  rig.site.set_recorders(&ledger, &history);
+  rig.RecordOneOfEach(kTid);
+  rig.sched.RunUntilIdle();
+  EXPECT_EQ(history.size(), 0u);
+  EXPECT_EQ(ledger.size(), 2u);  // The ledger records regardless.
+  history.set_enabled(true);
+  rig.RecordOneOfEach(kTid);
+  rig.sched.RunUntilIdle();
+  EXPECT_EQ(history.size(), 2u);
 }
 
 }  // namespace

@@ -5,13 +5,14 @@
 // are recorded (and then correctly ignored by the oracle), while recovery's
 // redo of already-recorded effects after a crash must NOT be recorded again,
 // so a history spanning a site restart still replays serializably.
-#include "src/harness/history.h"
+#include "src/stats/history.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
+#include "src/harness/bank_workload.h"
 #include "src/harness/isolation_oracle.h"
 #include "src/harness/world.h"
 
@@ -134,24 +135,47 @@ TEST(HistoryRecorderTest, AbortedTransactionReadsAreRecordedButBenign) {
   EXPECT_EQ(value.value_or(-1), 42);
 }
 
-TEST(HistoryRecorderTest, RecoveryReplayDoesNotDoubleRecord) {
-  World world(TwoSiteConfig(12));
+// One remote write of `value` to vault/obj, committed.
+Async<Status> WriteAndCommit(AppClient& client, int64_t value) {
+  auto begin = co_await client.Begin();
+  if (!begin.ok()) {
+    co_return begin.status();
+  }
+  Status w = co_await client.WriteInt(*begin, "vault", "obj", value);
+  if (!w.ok()) {
+    co_return w;
+  }
+  co_return co_await client.Commit(*begin);
+}
+
+// A fresh transaction's committed read of vault/obj (-1 on failure).
+Async<int64_t> ReadCommitted(AppClient& client) {
+  auto begin = co_await client.Begin();
+  auto v = co_await client.ReadInt(*begin, "vault", "obj");
+  co_await client.Commit(*begin);
+  co_return v.value_or(-1);
+}
+
+// Server "vault" with obj = 0 on site 0 of a recording two-site world.
+void SetupVault(World& world) {
   world.history().set_enabled(true);
   world.AddServer(0, "vault")->CreateObjectForSetup("obj", EncodeInt64(0));
+}
 
+// Crashes site 0 and waits for its recovery to finish.
+void CrashAndRecover(World& world) {
+  world.Crash(0);
+  world.RunFor(Sec(1));
+  world.Restart(0);
+  world.RunUntilIdle();
+}
+
+TEST(HistoryRecorderTest, RecoveryReplayDoesNotDoubleRecord) {
+  World world(TwoSiteConfig(12));
+  SetupVault(world);
   AppClient app(world.site(1));  // Remote client: commits span both sites.
   for (int i = 0; i < 3; ++i) {
-    auto st = world.RunSync([](AppClient& client, int64_t v) -> Async<Status> {
-      auto begin = co_await client.Begin();
-      if (!begin.ok()) {
-        co_return begin.status();
-      }
-      Status w = co_await client.WriteInt(*begin, "vault", "obj", v);
-      if (!w.ok()) {
-        co_return w;
-      }
-      co_return co_await client.Commit(*begin);
-    }(app, i + 1));
+    auto st = world.RunSync(WriteAndCommit(app, i + 1));
     ASSERT_TRUE(st.has_value() && st->ok()) << "transfer " << i;
   }
 
@@ -160,27 +184,111 @@ TEST(HistoryRecorderTest, RecoveryReplayDoesNotDoubleRecord) {
 
   // Crash the server's site and recover it: recovery's redo of the committed
   // writes replays them into the page cache WITHOUT re-recording them.
-  world.Crash(0);
-  world.RunFor(Sec(1));
-  world.Restart(0);
-  world.RunUntilIdle();
+  CrashAndRecover(world);
   ASSERT_TRUE(world.site(0).site().up());
   EXPECT_EQ(CountOps(world.history().events(), HistoryOp::kWrite, "obj"), writes_before)
       << "recovery redo must not duplicate history events";
 
   // The history spans the restart and still replays serializably, and a
   // post-restart read extends it consistently.
-  auto value = world.RunSync([](AppClient& client) -> Async<int64_t> {
-    auto begin = co_await client.Begin();
-    auto v = co_await client.ReadInt(*begin, "vault", "obj");
-    co_await client.Commit(*begin);
-    co_return v.value_or(-1);
-  }(app));
+  auto value = world.RunSync(ReadCommitted(app));
   EXPECT_EQ(value.value_or(-1), 3);
   IsolationReport report = IsolationOracle::Check(world.history().events());
   EXPECT_TRUE(report.ok()) << report.Explain();
   EXPECT_GE(report.committed, 3u);
   EXPECT_TRUE(report.CheckFinalValue("vault", "obj", EncodeInt64(3)));
+}
+
+// --- Behaviour pins ---------------------------------------------------------------
+//
+// FNV-1a digests of what a world records: its serialized history, and the
+// ordered ledger keys (with site and family) of every cost event. The worlds
+// are the overhead bench's three-site bank run under each commit variant, and
+// the crash-and-restart run above. A refactor of the recording path must
+// leave both digests as they were.
+
+uint64_t Fnv1a(uint64_t h, const std::string& text) {
+  for (const unsigned char c : text) {
+    h = (h ^ c) * 0x100000001b3ULL;
+  }
+  return (h ^ '\n') * 0x100000001b3ULL;
+}
+
+struct RecordingDigest {
+  uint64_t history = 0;
+  uint64_t ledger = 0;
+};
+
+RecordingDigest DigestOf(World& world) {
+  RecordingDigest d{0xcbf29ce484222325ULL, 0xcbf29ce484222325ULL};
+  d.history = Fnv1a(d.history, world.history().Serialize());
+  for (const CostEvent& e : world.cost_ledger().events()) {
+    d.ledger = Fnv1a(d.ledger, CostLedger::Key(e) + " " + std::to_string(e.site.value) + " " +
+                                   std::to_string(e.family.origin.value) + ":" +
+                                   std::to_string(e.family.sequence));
+  }
+  return d;
+}
+
+RecordingDigest BankDigest(CommitOptions options) {
+  WorldConfig w;
+  w.site_count = 3;
+  w.seed = 42;
+  World world(w);
+  world.history().set_enabled(true);
+  BankWorkloadConfig bank;
+  bank.accounts_per_site = 4;
+  bank.clients = 6;
+  bank.transfers_per_client = 50;
+  bank.rng_seed = 7;
+  bank.options = options;
+  SetupBank(world, bank);
+  BankWorkloadStats stats;
+  SpawnBankClients(world, bank, &stats);
+  world.RunUntilIdle();
+  return DigestOf(world);
+}
+
+RecordingDigest CrashRestartDigest() {
+  World world(TwoSiteConfig(12));
+  SetupVault(world);
+  AppClient app(world.site(1));
+  for (int i = 0; i < 3; ++i) {
+    world.RunSync(WriteAndCommit(app, i + 1));
+  }
+  CrashAndRecover(world);
+  world.RunSync(ReadCommitted(app));
+  return DigestOf(world);
+}
+
+TEST(HistoryDigest, BankRunsMatchPinnedDigests) {
+  struct Run {
+    const char* name;
+    RecordingDigest (*digest)();
+    uint64_t history;
+    uint64_t ledger;
+  };
+  const Run runs[] = {
+      {"bank 2pc", [] { return BankDigest(CommitOptions::Optimized()); },
+       0x6dbbd8ded0c562a1ULL, 0xb545713523d2cbd2ULL},
+      {"bank 2pc-unopt", [] { return BankDigest(CommitOptions::Unoptimized()); },
+       0xf32accd6babf5b62ULL, 0x5b4feb25d83fe371ULL},
+      {"bank 2pc-int", [] { return BankDigest(CommitOptions::Intermediate()); },
+       0x24858b6eb127076cULL, 0x9ee7f639448c6581ULL},
+      {"bank nbc", [] { return BankDigest(CommitOptions::NonBlocking()); },
+       0x8eb64b0cec1d6855ULL, 0x2c2bfd23c297a968ULL},
+      {"bank paxos F=1", [] { return BankDigest(CommitOptions::Paxos(1)); },
+       0x5142f09ffac27d7fULL, 0xda75cc8236235790ULL},
+      {"crash and restart", CrashRestartDigest,
+       0x7cae2c048e151039ULL, 0x83c9a4a3eac4d051ULL},
+  };
+  for (const Run& run : runs) {
+    const RecordingDigest d = run.digest();
+    EXPECT_EQ(d.history, run.history)
+        << run.name << ": history changed (digest 0x" << std::hex << d.history << ")";
+    EXPECT_EQ(d.ledger, run.ledger)
+        << run.name << ": ledger events changed (digest 0x" << std::hex << d.ledger << ")";
+  }
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "src/harness/crash_explorer.h"
-#include "src/harness/history.h"
+#include "src/stats/history.h"
 
 namespace camelot {
 namespace {
