@@ -190,6 +190,14 @@ int main(int argc, char** argv) {
   }
   sc.update_subs = a.updates;
   sc.readonly_subs = a.readonly;
+  if (a.updates < 0 || a.readonly < 0 || sc.procs() > camelot::kSpecMaxProcs) {
+    std::fprintf(stderr,
+                 "the spec holds at most %d processes (the coordinator and %d "
+                 "subordinates); --updates=%d --readonly=%d asks for %d\n",
+                 camelot::kSpecMaxProcs, camelot::kSpecMaxProcs - 1, a.updates, a.readonly,
+                 sc.procs());
+    return 2;
+  }
   sc.local_updates = a.local;
   if (a.outcome == "commit") {
     sc.outcome = camelot::TxnOutcome::kCommit;
@@ -210,6 +218,15 @@ int main(int argc, char** argv) {
   opt.check_termination = a.termination;
 
   camelot::SpecMachine machine(sc, camelot::SpecKnobs{});
+  const int highest_round = machine.HighestRound(opt.bounds);
+  if (highest_round > camelot::kSpecMaxRound) {
+    std::fprintf(stderr,
+                 "the spec encodes takeover rounds up to %d; --takeovers=%d "
+                 "--total-takeovers=%d with %d processes can reach round %d\n",
+                 camelot::kSpecMaxRound, a.takeovers, a.total_takeovers, sc.procs(),
+                 highest_round);
+    return 2;
+  }
   std::printf("checking %s crashes=%d losses=%d novotes=%d takeovers=%d termination=%d\n",
               sc.Label().c_str(), a.crashes, a.losses, a.novotes, a.takeovers,
               a.termination ? 1 : 0);

@@ -1,11 +1,14 @@
 #include "src/analysis/model_checker.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <map>
-#include <unordered_map>
 #include <utility>
+
+#include "src/base/logging.h"
 
 namespace camelot {
 
@@ -21,6 +24,86 @@ uint64_t FnvMix(uint64_t h, const std::string& bytes) {
   }
   return h;
 }
+
+// A 128-bit fingerprint of a state's canonical bytes. Two distinct states
+// share one with probability 2^-128, so n states hold a colliding pair with
+// probability at most n^2 / 2^129.
+struct Fingerprint {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  bool empty() const { return lo == 0 && hi == 0; }
+  friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
+};
+
+// murmur3's 64-bit finalizer.
+uint64_t Fmix64(uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdULL;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ULL;
+  k ^= k >> 33;
+  return k;
+}
+
+// Two lanes, each with murmur3's per-block mixing under its own constants,
+// over the bytes as 8-byte words (the last one zero-padded).
+Fingerprint FingerprintOf(const std::string& bytes) {
+  constexpr uint64_t kC1 = 0x87c37b91114253d5ULL;
+  constexpr uint64_t kC2 = 0x4cf5ad432745937fULL;
+  uint64_t a = bytes.size();
+  uint64_t b = ~bytes.size();
+  for (size_t i = 0; i < bytes.size(); i += 8) {
+    uint64_t w = 0;
+    std::memcpy(&w, bytes.data() + i, std::min<size_t>(8, bytes.size() - i));
+    a ^= std::rotl(w * kC1, 31) * kC2;
+    a = std::rotl(a, 27) * 5 + 0x52dce729;
+    b ^= std::rotl(w * kC2, 33) * kC1;
+    b = std::rotl(b, 31) * 5 + 0x38495ab5;
+  }
+  Fingerprint f{Fmix64(a), Fmix64(b)};
+  if (f.empty()) {
+    f.lo = 1;  // All-zero marks an empty slot in FingerprintSet.
+  }
+  return f;
+}
+
+// The visited set: open addressing with linear probing over a power-of-two
+// table of fingerprints, grown to keep the load at most one half.
+class FingerprintSet {
+ public:
+  // Adds `f`; false when it was already present.
+  bool Insert(Fingerprint f) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      Grow();
+    }
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = f.lo & mask;; i = (i + 1) & mask) {
+      if (slots_[i].empty()) {
+        slots_[i] = f;
+        ++size_;
+        return true;
+      }
+      if (slots_[i] == f) {
+        return false;
+      }
+    }
+  }
+
+ private:
+  void Grow() {
+    std::vector<Fingerprint> old = std::move(slots_);
+    slots_.assign(old.empty() ? 1024 : 2 * old.size(), Fingerprint{});
+    size_ = 0;
+    for (const Fingerprint& f : old) {
+      if (!f.empty()) {
+        Insert(f);
+      }
+    }
+  }
+
+  std::vector<Fingerprint> slots_;
+  size_t size_ = 0;
+};
 
 struct Found {
   std::string invariant;
@@ -221,8 +304,7 @@ std::string ProtocolToken(const SpecScenario& sc) {
 // mapping crash moves to "<last-force>.after@site#hit=crash" and loss moves
 // to "tm.send.<TYPE>@site#ordinal=drop". Returns "" when some step has no
 // runtime counterpart (takeover internals, crashes before any force).
-std::string BuildReplayRecipe(const SpecMachine& m, const std::vector<SpecMove>& moves,
-                              const SpecBounds& bounds) {
+std::string BuildReplayRecipe(const SpecMachine& m, const std::vector<SpecMove>& moves) {
   SpecState s = m.Initial();
   // Per (proc, point): hits so far. Per proc: last force (point, hit).
   std::map<std::pair<int, std::string>, int> force_hits;
@@ -266,7 +348,6 @@ std::string BuildReplayRecipe(const SpecMachine& m, const std::vector<SpecMove>&
     }
     s = std::move(next);
   }
-  (void)bounds;
 
   std::string recipe = "CAMELOT_PROTOCOL=" + ProtocolToken(m.scenario());
   if (m.scenario().options.protocol == CommitProtocol::kPaxos) {
@@ -300,6 +381,7 @@ std::string CheckResult::Summary() const {
 }
 
 CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options) {
+  CAMELOT_CHECK(machine.HighestRound(options.bounds) <= kSpecMaxRound);
   CheckResult res;
 
   struct Node {
@@ -307,20 +389,20 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
     SpecMove via;
   };
   std::vector<Node> nodes;
-  std::unordered_map<std::string, int> seen;
+  FingerprintSet seen;
   // The BFS frontier carries materialized states; visited interior states
-  // keep only their canonical bytes + parent edge.
+  // keep only their fingerprint + parent edge.
   std::deque<std::pair<int, SpecState>> frontier;
 
   SpecState init = machine.Initial();
   const std::string init_canon = machine.Canonical(init);
-  seen.emplace(init_canon, 0);
+  seen.Insert(FingerprintOf(init_canon));
   nodes.push_back(Node{});
   res.digest = FnvMix(kFnvOffset, init_canon);
   frontier.emplace_back(0, std::move(init));
   res.states = 1;
 
-  auto fail = [&](int idx, const Found& found, const SpecState& state) {
+  auto fail = [&](int idx, const Found& found) {
     std::vector<SpecMove> moves;
     for (int at = idx; at > 0; at = nodes[static_cast<size_t>(at)].parent) {
       moves.push_back(nodes[static_cast<size_t>(at)].via);
@@ -347,8 +429,7 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
       v.trace.push_back(label);
     }
     v.state_dump = machine.DumpState(final_state);
-    v.replay = BuildReplayRecipe(machine, moves, options.bounds);
-    (void)state;
+    v.replay = BuildReplayRecipe(machine, moves);
     res.ok = false;
     res.violation = std::move(v);
   };
@@ -358,7 +439,7 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
     // anyway: mutations are allowed to be arbitrarily silly.
     std::optional<Found> found = CheckStateInvariants(machine, frontier.front().second);
     if (found.has_value()) {
-      fail(0, *found, frontier.front().second);
+      fail(0, *found);
       res.complete = false;
       return res;
     }
@@ -368,30 +449,27 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
     auto [idx, state] = std::move(frontier.front());
     frontier.pop_front();
 
-    std::vector<SpecMove> moves = machine.EnabledMoves(state, options.bounds);
-    if (moves.empty() && options.check_termination) {
+    std::vector<SpecSuccessor> successors = machine.Successors(state, options.bounds);
+    if (successors.empty() && options.check_termination) {
       std::optional<Found> found = CheckTerminal(machine, state, options.bounds);
       if (found.has_value()) {
-        fail(idx, *found, state);
+        fail(idx, *found);
         return res;
       }
     }
-    for (const SpecMove& mv : moves) {
-      SpecState next = machine.Apply(state, mv, nullptr);
+    for (SpecSuccessor& next : successors) {
       res.transitions += 1;
-      std::string canon = machine.Canonical(next);
-      auto [it, inserted] = seen.emplace(std::move(canon), static_cast<int>(nodes.size()));
-      if (!inserted) {
+      if (!seen.Insert(FingerprintOf(next.canonical))) {
         res.dedup_hits += 1;
         continue;
       }
-      nodes.push_back(Node{idx, mv});
-      res.digest = FnvMix(res.digest, it->first);
+      const int nidx = static_cast<int>(nodes.size());
+      nodes.push_back(Node{idx, next.move});
+      res.digest = FnvMix(res.digest, next.canonical);
       res.states += 1;
-      const int nidx = it->second;
-      std::optional<Found> found = CheckStateInvariants(machine, next);
+      std::optional<Found> found = CheckStateInvariants(machine, next.state);
       if (found.has_value()) {
-        fail(nidx, *found, next);
+        fail(nidx, *found);
         return res;
       }
       if (res.states >= options.max_states) {
@@ -399,7 +477,7 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
         res.complete = false;
         return res;
       }
-      frontier.emplace_back(nidx, std::move(next));
+      frontier.emplace_back(nidx, std::move(next.state));
     }
   }
 

@@ -1,9 +1,11 @@
 // Explicit-state model checker for the declarative commit-protocol specs.
 //
 // Breadth-first exploration of every interleaving of spec-rule firings plus
-// bounded environment choices (crashes, message losses, no votes), with exact
-// canonical-byte dedup (no hash approximation: two states collide only if
-// they ARE equal). Safety invariants are checked by name at every state:
+// bounded environment choices (crashes, message losses, no votes). Visited
+// states are deduplicated by a 128-bit fingerprint of their canonical bytes,
+// as TLC does: two distinct states merge only on a fingerprint collision,
+// which for n states has probability at most n^2 / 2^129 (about 5e-26 at six
+// million states). Safety invariants are checked by name at every state:
 //
 //   agreement          — no two sites ever observe different decisions.
 //   validity           — commit is only observed when the client asked to
@@ -54,11 +56,12 @@ struct CheckResult {
   size_t states = 0;
   size_t transitions = 0;
   size_t dedup_hits = 0;
-  uint64_t digest = 0;  // FNV-1a over canonical states in BFS order.
+  uint64_t digest = 0;  // FNV-1a over each new state's canonical bytes, in BFS order.
   std::optional<Violation> violation;
   std::string Summary() const;
 };
 
+// Requires machine.HighestRound(options.bounds) <= kSpecMaxRound.
 CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options);
 
 // One seeded spec weakening for the kill suite: the scenario + knobs define a

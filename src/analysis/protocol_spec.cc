@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstdio>
 
+#include "src/base/logging.h"
+
 namespace camelot {
 
 namespace {
@@ -166,6 +168,9 @@ void SpecCtx::Force(const char* role, const char* phase, const char* point, Spec
   SpecProc& p = me();
   p.log.push_back(rec);
   p.durable_len = static_cast<uint32_t>(p.log.size());
+  if (eff_ == nullptr) {
+    return;
+  }
   eff_->counts[Key(role, phase, "force")] += 1;
   if (point != nullptr) {
     eff_->forces.emplace_back(self_, point);
@@ -175,6 +180,9 @@ void SpecCtx::Force(const char* role, const char* phase, const char* point, Spec
 
 void SpecCtx::Spool(const char* role, const char* phase, SpecLogRec rec) {
   me().log.push_back(rec);
+  if (eff_ == nullptr) {
+    return;
+  }
   eff_->counts[Key(role, phase, "spool")] += 1;
   Note(std::string("p") + std::to_string(self_) + " spool " + role + "/" + phase);
 }
@@ -189,6 +197,9 @@ void SpecCtx::Send(const char* role, int to, SpecMsg msg) {
     return;  // Send-once: the runtime's fault-free path never re-sends either.
   }
   s_->AddMsg(msg);
+  if (eff_ == nullptr) {
+    return;
+  }
   eff_->counts[Key(role, SpecMsgTypeName(msg.type), "dgram")] += 1;
   eff_->sends.emplace_back(self_, SpecMsgTypeName(msg.type));
   Note(std::string("p") + std::to_string(self_) + " send " + msg.Describe());
@@ -199,12 +210,16 @@ void SpecCtx::Decide(SpecDecision d) {
   if (seen != SpecDecision::kNone && seen != d) {
     s_->stability_broken = true;
     s_->stability_proc = static_cast<uint8_t>(self_);
-    Note(std::string("p") + std::to_string(self_) + " FLIPS observed " +
-         SpecDecisionName(seen) + " -> " + SpecDecisionName(d));
+    if (eff_ != nullptr) {
+      Note(std::string("p") + std::to_string(self_) + " FLIPS observed " +
+           SpecDecisionName(seen) + " -> " + SpecDecisionName(d));
+    }
   }
   seen = d;
   me().decided = d;
-  Note(std::string("p") + std::to_string(self_) + " decides " + SpecDecisionName(d));
+  if (eff_ != nullptr) {
+    Note(std::string("p") + std::to_string(self_) + " decides " + SpecDecisionName(d));
+  }
 }
 
 void SpecCtx::DropLocks() {
@@ -220,6 +235,8 @@ void SpecCtx::Note(std::string note) { eff_->notes.push_back(std::move(note)); }
 
 SpecMachine::SpecMachine(const SpecScenario& scenario, const SpecKnobs& knobs)
     : scenario_(scenario), knobs_(knobs) {
+  CAMELOT_CHECK(scenario_.update_subs >= 0 && scenario_.readonly_subs >= 0 &&
+                scenario_.procs() <= kSpecMaxProcs);
   if (scenario_.options.protocol == CommitProtocol::kPaxos) {
     int a = PaxosAcceptors(scenario_.options.paxos_f, scenario_.subs());
     if (a <= 1) {
@@ -256,6 +273,15 @@ SpecMachine::SpecMachine(const SpecScenario& scenario, const SpecKnobs& knobs)
 }
 
 bool SpecMachine::NeedsDecision(int p) const { return p == 0 || IsUpdateSub(p); }
+
+int SpecMachine::HighestRound(const SpecBounds& bounds) const {
+  const bool takeovers = std::any_of(rules_.begin(), rules_.end(),
+                                     [](const SpecRule& r) { return r.takeover_start; });
+  if (!takeovers || bounds.max_takeover_rounds <= 0) {
+    return 0;
+  }
+  return std::min(bounds.max_total_takeovers, bounds.max_takeover_rounds + n() - 1);
+}
 
 bool SpecMachine::TakeoverCandidate(int p) const {
   if (scenario_.options.protocol == CommitProtocol::kTwoPhase) {
@@ -1432,14 +1458,15 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
 
 // --- Move enumeration and application ----------------------------------------
 
-std::vector<SpecMove> SpecMachine::EnabledMoves(const SpecState& s,
-                                                const SpecBounds& bounds) const {
-  std::vector<SpecMove> out;
+std::vector<SpecSuccessor> SpecMachine::Successors(const SpecState& s,
+                                                  const SpecBounds& bounds) const {
+  std::vector<SpecSuccessor> out;
   const std::string base = Canonical(s);
-  auto consider = [&](SpecMove mv) {
+  auto consider = [&](const SpecMove& mv) {
     SpecState next = Apply(s, mv, nullptr);
-    if (Canonical(next) != base) {
-      out.push_back(mv);
+    std::string canonical = Canonical(next);
+    if (canonical != base) {
+      out.push_back({mv, std::move(next), std::move(canonical)});
     }
   };
 
@@ -1542,16 +1569,14 @@ std::vector<SpecMove> SpecMachine::EnabledMoves(const SpecState& s,
 
 SpecState SpecMachine::Apply(const SpecState& s, const SpecMove& move, SpecEffect* eff) const {
   SpecState next = s;
-  SpecEffect scratch;
-  SpecEffect* e = eff != nullptr ? eff : &scratch;
   switch (move.kind) {
     case SpecMove::Kind::kRule: {
-      SpecCtx ctx(*this, &next, move.proc, e);
+      SpecCtx ctx(*this, &next, move.proc, eff);
       rules_[static_cast<size_t>(move.rule)].apply(ctx, nullptr);
       break;
     }
     case SpecMove::Kind::kDeliver: {
-      SpecCtx ctx(*this, &next, move.proc, e);
+      SpecCtx ctx(*this, &next, move.proc, eff);
       SpecMsg m = move.msg;  // The rule sees a copy; the set keeps the original.
       rules_[static_cast<size_t>(move.rule)].apply(ctx, &m);
       break;
@@ -1584,19 +1609,23 @@ SpecState SpecMachine::Apply(const SpecState& s, const SpecMove& move, SpecEffec
       p.best_epoch = 0;
       p.best_value = SpecDecision::kNone;
       next.crashes_used += 1;
-      e->notes.push_back("p" + std::to_string(move.proc) + " crashes");
+      if (eff != nullptr) {
+        eff->notes.push_back("p" + std::to_string(move.proc) + " crashes");
+      }
       break;
     }
     case SpecMove::Kind::kRecover:
-      Recover(&next, move.proc, e);
+      Recover(&next, move.proc, eff);
       break;
     case SpecMove::Kind::kLose:
       next.EraseMsg(move.msg);
       next.losses_used += 1;
-      e->notes.push_back("lose " + move.msg.Describe());
+      if (eff != nullptr) {
+        eff->notes.push_back("lose " + move.msg.Describe());
+      }
       break;
     case SpecMove::Kind::kNoVote: {
-      SpecCtx ctx(*this, &next, move.proc, e);
+      SpecCtx ctx(*this, &next, move.proc, eff);
       SpecMsg v = Mk(SpecMsgType::kVote);
       v.vote = 0;
       if (scenario_.options.protocol == CommitProtocol::kPaxos) {
@@ -1641,18 +1670,31 @@ std::string SpecMachine::MoveLabel(const SpecMove& move) const {
 
 namespace {
 
-void PutU8(std::string* out, uint64_t v) { out->push_back(static_cast<char>(v & 0xff)); }
+// Canonical's sizes: the header (three budgets, the stability flag and
+// proc), each proc's fixed fields, one log record and one message. Beside
+// them go one observed decision per proc and the 16-bit message count.
+constexpr size_t kCanonHeaderBytes = 5;
+constexpr size_t kCanonProcBytes = 24;
+constexpr size_t kCanonLogRecBytes = 3;
+constexpr size_t kCanonMsgBytes = 7;
 
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
+void PutU8(char** out, uint64_t v) { *(*out)++ = static_cast<char>(v & 0xff); }
+
+void PutU16(char** out, uint16_t v) {
+  PutU8(out, v);
+  PutU8(out, v >> 8);
 }
 
 }  // namespace
 
 std::string SpecMachine::Canonical(const SpecState& s) const {
-  std::string out;
-  out.reserve(64 + s.procs.size() * 48 + s.net.size() * 8);
+  size_t size = kCanonHeaderBytes + static_cast<size_t>(n()) + sizeof(uint16_t) +
+                kCanonMsgBytes * s.net.size();
+  for (const SpecProc& p : s.procs) {
+    size += kCanonProcBytes + kCanonLogRecBytes * p.log.size();
+  }
+  std::string bytes(size, '\0');
+  char* out = bytes.data();
   PutU8(&out, s.crashes_used);
   PutU8(&out, s.losses_used);
   PutU8(&out, s.no_votes_used);
@@ -1699,7 +1741,8 @@ std::string SpecMachine::Canonical(const SpecState& s) const {
     PutU8(&out, m.value);
     PutU8(&out, m.accepted);
   }
-  return out;
+  CAMELOT_CHECK(out == bytes.data() + bytes.size());
+  return bytes;
 }
 
 std::string SpecMachine::DumpState(const SpecState& s) const {
@@ -1788,9 +1831,10 @@ void SpecMachine::Recover(SpecState* s, int proc, SpecEffect* eff) const {
     }
   }
 
-  SpecEffect scratch;
-  SpecCtx ctx(*this, s, proc, eff != nullptr ? eff : &scratch);
-  ctx.Note("p" + std::to_string(proc) + " recovers");
+  SpecCtx ctx(*this, s, proc, eff);
+  if (eff != nullptr) {
+    eff->notes.push_back("p" + std::to_string(proc) + " recovers");
+  }
 
   if (decided == SpecDecision::kCommit) {
     ctx.Decide(SpecDecision::kCommit);  // Stability-checked re-announcement.
@@ -1927,12 +1971,11 @@ SpecMachine::FoldResult SpecMachine::FoldFaultFree(int max_steps) const {
   };
 
   auto try_apply = [&](const SpecMove& mv) -> bool {
-    SpecState next = Apply(s, mv, nullptr);
+    SpecEffect eff;
+    SpecState next = Apply(s, mv, &eff);
     if (Canonical(next) == Canonical(s)) {
       return false;
     }
-    SpecEffect eff;
-    next = Apply(s, mv, &eff);
     for (const auto& kv : eff.counts) {
       res.counts[kv.first] += kv.second;
     }

@@ -224,7 +224,8 @@ struct SpecEffect {
 
 // Mutation-facing action API handed to rule bodies. All counting and
 // durability bookkeeping funnels through here so the fold and the checker
-// can never disagree about what a rule did.
+// can never disagree about what a rule did. With a null `eff` the state
+// changes alone are made: no counts, trails or notes are built.
 class SpecCtx {
  public:
   SpecCtx(const class SpecMachine& m, SpecState* s, int self, SpecEffect* eff)
@@ -252,9 +253,10 @@ class SpecCtx {
   // Release this site's locks (no-op under the keep-locks mutation knob).
   void DropLocks();
   void Retire() { me().phase = SpecPhase::kDone; }
-  void Note(std::string note);
 
  private:
+  void Note(std::string note);  // Only with a non-null effect.
+
   const SpecMachine& m_;
   SpecState* s_;
   int self_;
@@ -268,7 +270,7 @@ class SpecCtx {
 struct SpecRule {
   std::string name;
   bool fault_only = false;
-  // Consumes one per-process takeover round; EnabledMoves gates it against
+  // Consumes one per-process takeover round; Successors gates it against
   // SpecBounds::max_takeover_rounds.
   bool takeover_start = false;
   std::optional<SpecMsgType> trigger;
@@ -288,8 +290,25 @@ struct SpecMove {
   SpecMsg msg;    // The delivered / lost message.
 };
 
+// One move Successors keeps, with the state it leads to and that state's
+// canonical bytes, so a caller neither re-applies nor re-encodes it.
+struct SpecSuccessor {
+  SpecMove move;
+  SpecState state;
+  std::string canonical;
+};
+
+// Encoding limits. The vote and ack masks are 16 bits wide and `observed`
+// has 16 slots, so a machine holds at most kSpecMaxProcs processes.
+// Canonical writes each epoch (16 * round + proc) as one byte, so no takeover
+// round may exceed kSpecMaxRound.
+inline constexpr int kSpecMaxProcs = 16;
+inline constexpr int kSpecMaxRound = 15;
+
 class SpecMachine {
  public:
+  // Requires non-negative subordinate counts and at most kSpecMaxProcs
+  // processes.
   explicit SpecMachine(const SpecScenario& scenario, const SpecKnobs& knobs = {});
 
   const SpecScenario& scenario() const { return scenario_; }
@@ -322,26 +341,37 @@ class SpecMachine {
   uint16_t UpdateSubMask() const;
   uint16_t AcceptorMask() const;  // All-procs mask outside Paxos.
   uint16_t AllVoteMask() const { return static_cast<uint16_t>((1u << n()) - 1); }
+  // The highest takeover round an exploration under `bounds` can reach; 0
+  // for variants without takeover. A start takes either the starter's next
+  // round (at most max_takeover_rounds) or one past the highest round it
+  // promised. Only a process under its own budget starts, and one that jumps
+  // past the budget starts no more, so each of the other n() - 1 processes
+  // adds at most one round; and no round exceeds the number of starts.
+  int HighestRound(const SpecBounds& bounds) const;
 
   SpecState Initial() const;
 
-  // Enumerate every enabled move of `s` in deterministic order. Moves whose
-  // application would not change the state are already filtered out.
-  std::vector<SpecMove> EnabledMoves(const SpecState& s, const SpecBounds& bounds) const;
+  // Every enabled move of `s` in deterministic order, each with its
+  // successor state and that state's canonical bytes. Moves whose
+  // application would not change the state are filtered out.
+  std::vector<SpecSuccessor> Successors(const SpecState& s, const SpecBounds& bounds) const;
 
   // Apply `move` to `s`. Returns the successor; `eff` (optional) receives
-  // counts / notes / force+send trails for traces and replay recipes.
+  // counts / notes / force+send trails for traces and replay recipes. With
+  // no `eff` none of them is built.
   SpecState Apply(const SpecState& s, const SpecMove& move, SpecEffect* eff = nullptr) const;
 
   std::string MoveLabel(const SpecMove& move) const;
 
-  // Canonical byte-serialization of `s`: equal states serialize equally, so
-  // dedup and the run digest are exact, not hash-approximate.
+  // Canonical byte-serialization of `s`: within the encoding limits above,
+  // two states serialize equally only if they are equal. The checker dedups
+  // by a 128-bit fingerprint of these bytes and digests the bytes themselves.
   std::string Canonical(const SpecState& s) const;
   std::string DumpState(const SpecState& s) const;
 
   // Crash-recovery: rebuild proc p's volatile state from its durable log.
   // Variant-specific (2PC presumes abort, Paxos rejoins in doubt, ...).
+  // `eff` may be null.
   void Recover(SpecState* s, int p, SpecEffect* eff) const;
 
   // Deterministically run the non-fault rules to quiescence and collect the

@@ -3,6 +3,7 @@
 // plus full-depth mutation control runs. Any counterexample is appended to
 // model_check_counterexamples.txt (under CAMELOT_ARTIFACT_DIR when set) so CI
 // uploads the trace and replay recipe as an artifact.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -48,6 +49,11 @@ struct SweepCase {
   size_t max_states;
   bool termination;
   bool expect_complete;
+  // Exploration pin: a hot-path change must visit the same states in the
+  // same order (see ModelCheckerDigest in model_checker_test.cc).
+  size_t states;
+  size_t transitions;
+  uint64_t digest;
 };
 
 std::vector<SweepCase> DeepSweeps() {
@@ -70,21 +76,27 @@ std::vector<SweepCase> DeepSweeps() {
   };
   // Exhaustive at soak scale.
   out.push_back({"2pc-u2-r1-two-faults", scenario(CommitOptions::Optimized(), 2, 1),
-                 bounds(2, 2, 1, 0, 0), 6000000, false, true});
+                 bounds(2, 2, 1, 0, 0), 6000000, false, true, 2323303, 12735142,
+                 0x29347753ee975d62ULL});
   out.push_back({"nbc-u2-single-takeover", scenario(CommitOptions::NonBlocking(), 2, 0),
-                 bounds(0, 0, 0, 1, 1), 2000000, true, true});
+                 bounds(0, 0, 0, 1, 1), 2000000, true, true, 833294, 2219230,
+                 0xd4ef01d382012bbdULL});
   out.push_back({"paxos-f1-single-takeover", scenario(CommitOptions::Paxos(1), 2, 0),
-                 bounds(0, 0, 0, 1, 1), 4000000, true, true});
+                 bounds(0, 0, 0, 1, 1), 4000000, true, true, 3484130, 11814040,
+                 0xa8f3b99eac595ca1ULL});
   // Bounded-depth frontier: these spaces exceed any cap a CI runner's memory
   // allows, so the sweep is explicitly a bounded search (the cap is the
   // documented depth). nbc crash+takeover moved here when the
   // recovered-leader re-notify rules grew it past exhaustion at 6M states.
   out.push_back({"nbc-u1-r1-crash-takeover", scenario(CommitOptions::NonBlocking(), 1, 1),
-                 bounds(1, 1, 0, 1, 1), 6000000, true, false});
+                 bounds(1, 1, 0, 1, 1), 6000000, true, false, 6000000, 21504679,
+                 0xc9eabade8b71d550ULL});
   out.push_back({"paxos-f1-crash-takeover", scenario(CommitOptions::Paxos(1), 2, 0),
-                 bounds(1, 0, 0, 1, 1), 4000000, true, false});
+                 bounds(1, 0, 0, 1, 1), 4000000, true, false, 4000000, 15562083,
+                 0xcfb653734443def5ULL});
   out.push_back({"paxos-f2-crash", scenario(CommitOptions::Paxos(2), 4, 0),
-                 bounds(1, 0, 0, 0, 0), 4000000, true, false});
+                 bounds(1, 0, 0, 0, 0), 4000000, true, false, 4000000, 31500877,
+                 0x9b562c8307b4f029ULL});
   return out;
 }
 
@@ -104,6 +116,9 @@ TEST(ModelCheckerSoak, DeepSweeps) {
       EXPECT_TRUE(res.complete) << c.label << " expected to exhaust, saw "
                                 << res.states << " states";
     }
+    EXPECT_TRUE(res.states == c.states && res.transitions == c.transitions &&
+                res.digest == c.digest)
+        << c.label << " explored a different space: " << res.Summary();
     std::printf("%s: %s\n", c.label, res.Summary().c_str());
   }
 }

@@ -5,6 +5,8 @@
 // spec-mutation kill suite.
 #include "src/analysis/model_checker.h"
 
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -142,7 +144,8 @@ TEST(ModelChecker, BaselineSafetyExhaustive) {
 // The canonical-state digest is a function of the reachable graph alone:
 // two runs of the same configuration agree bit-for-bit on digest and on
 // every exploration counter. (BFS discovery order is deterministic because
-// EnabledMoves is, and dedup is exact byte equality, not hashing.)
+// Successors is, and the fingerprint dedup is a pure function of the
+// canonical bytes; ModelCheckerDigest below pins the values themselves.)
 TEST(ModelChecker, StateDigestDeterministicAcrossRuns) {
   for (const SafetyCase& c : QuickSafetyCases()) {
     CheckerOptions opt;
@@ -157,6 +160,122 @@ TEST(ModelChecker, StateDigestDeterministicAcrossRuns) {
     EXPECT_EQ(first.transitions, second.transitions) << c.label;
     EXPECT_EQ(first.dedup_hits, second.dedup_hits) << c.label;
   }
+}
+
+// Exploration pins. The encoding, the dedup structure and the move order
+// decide which states the BFS visits and in which order, so a change to any
+// of them must leave every counter and the canonical-state digest as they
+// were. The last pin is the benchmark's modelcheck_nbc space.
+struct SpacePin {
+  size_t states;
+  size_t transitions;
+  size_t dedup_hits;
+  uint64_t digest;
+};
+
+void ExpectPinned(const std::string& label, const CheckResult& res, const SpacePin& pin) {
+  EXPECT_TRUE(res.ok && res.complete) << label << ": " << res.Summary();
+  EXPECT_TRUE(res.states == pin.states && res.transitions == pin.transitions &&
+              res.dedup_hits == pin.dedup_hits && res.digest == pin.digest)
+      << label << " explored a different space: {" << res.states << ", " << res.transitions
+      << ", " << res.dedup_hits << ", 0x" << std::hex << res.digest << "}";
+}
+
+TEST(ModelCheckerDigest, QuickSafetyCasesExplorePinnedSpaces) {
+  const std::vector<SafetyCase> cases = QuickSafetyCases();
+  const SpacePin pins[] = {
+      {6825, 21998, 15174, 0xf4a1e4b645512ca9ULL},
+      {300, 936, 637, 0xb04c260ee5b5671dULL},
+      {6651, 21506, 14856, 0x8201b6f083c3ca7cULL},
+      {6897, 22124, 15228, 0x1efc83204265667bULL},
+      {13656, 26993, 13338, 0x966c9874faf43173ULL},
+      {448, 1029, 582, 0xf4ec574bea77ae7dULL},
+      {4071, 12443, 8373, 0x27e6627a86211b8bULL},
+  };
+  ASSERT_EQ(cases.size(), std::size(pins));
+  for (size_t i = 0; i < cases.size(); ++i) {
+    CheckerOptions opt;
+    opt.bounds = cases[i].bounds;
+    opt.check_termination = cases[i].termination;
+    ExpectPinned(cases[i].label, CheckSpec(SpecMachine(ScenarioFor(cases[i])), opt), pins[i]);
+  }
+}
+
+TEST(ModelCheckerDigest, BenchmarkSpaceExploresPinnedSpace) {
+  SpecScenario sc;
+  sc.options = CommitOptions::NonBlocking();
+  sc.update_subs = 1;
+  sc.readonly_subs = 1;
+  CheckerOptions opt;
+  opt.bounds.max_takeover_rounds = 1;
+  opt.bounds.max_total_takeovers = 1;
+  opt.max_states = 2000000;
+  opt.check_termination = true;
+  ExpectPinned("modelcheck_nbc", CheckSpec(SpecMachine(sc), opt),
+               {204350, 556545, 352196, 0x7f7074d19840f9ccULL});
+}
+
+// One FNV-1a hash per seeded mutation over everything its violation renders:
+// invariant, detail, trace (move labels with their effect notes), state dump
+// and replay recipe. It guards the effect bookkeeping that only these
+// reports read.
+TEST(ModelCheckerDigest, SeededMutationReportsMatchPinnedHashes) {
+  const std::map<std::string, uint64_t> pins = {
+      {"2pc-drop-coordinator-commit-force", 0x891fd4fc40236163ULL},
+      {"2pc-drop-subordinate-prepare-force", 0x2728249aa817f727ULL},
+      {"2pc-drop-subordinate-ack-force", 0x859732ec6534f93fULL},
+      {"2pc-presume-commit-on-unknown", 0xcf3638e9d9af8d2eULL},
+      {"2pc-unopt-drop-subordinate-commit-force", 0x93b281b71233edbaULL},
+      {"2pc-commit-despite-no-vote", 0xfc5f12ea69d56303ULL},
+      {"2pc-retire-before-notify", 0xa328efe9792145baULL},
+      {"nbc-weaken-replication-quorum", 0x03d12095baca042cULL},
+      {"nbc-skip-promise-check", 0x888f1f631bfbc3bfULL},
+      {"nbc-keep-locks-on-commit", 0x79034d14a3816daeULL},
+      {"paxos-weaken-accept-quorum", 0x2af11be3161c579fULL},
+      {"paxos-skip-promise-check", 0x53840a1404002905ULL},
+      {"paxos-takeover-ignores-accepted-value", 0xe652d72f516ad948ULL},
+      {"paxos-accept-incomplete-votes", 0xabdda3bc47205a77ULL},
+  };
+  for (const SeededMutation& m : SeededSpecMutations()) {
+    CheckerOptions opt;
+    opt.bounds = m.bounds;
+    opt.max_states = 2000000;
+    const CheckResult res = CheckSpec(SpecMachine(m.scenario, m.knobs), opt);
+    ASSERT_TRUE(res.violation.has_value()) << m.name;
+    uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](const std::string& text) {
+      for (const unsigned char c : text) {
+        h = (h ^ c) * 0x100000001b3ULL;
+      }
+      h = (h ^ '\n') * 0x100000001b3ULL;
+    };
+    const Violation& v = *res.violation;
+    mix(v.invariant);
+    mix(v.detail);
+    for (const std::string& line : v.trace) {
+      mix(line);
+    }
+    mix(v.state_dump);
+    mix(v.replay);
+    const auto pin = pins.find(m.name);
+    EXPECT_TRUE(pin != pins.end() && pin->second == h)
+        << m.name << " renders a different violation (hash 0x" << std::hex << h << ")";
+  }
+}
+
+// A model the encoding cannot hold is a caller error, never a silently
+// smaller check: 17 processes overflow the 16-bit masks, and takeover
+// rounds past 15 overflow the one-byte epochs.
+TEST(ModelCheckerDeathTest, RejectsModelsTheEncodingCannotHold) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SpecScenario sc;
+  sc.options = CommitOptions::NonBlocking();
+  sc.update_subs = kSpecMaxProcs;
+  EXPECT_DEATH(SpecMachine{sc}, "CHECK failed.*kSpecMaxProcs");
+  sc.update_subs = 1;
+  CheckerOptions opt;
+  opt.bounds.max_takeover_rounds = kSpecMaxRound + 1;
+  EXPECT_DEATH(CheckSpec(SpecMachine(sc), opt), "CHECK failed.*kSpecMaxRound");
 }
 
 // Minimization: counterexamples come back short enough for a human. The raw
