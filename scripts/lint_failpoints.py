@@ -22,6 +22,10 @@ Armed points (scanned from tests/, bench/, src/harness/):
     CAMELOT_SCHEDULE grammar, and bare nemesis triggers such as
     "tm.prepared@1#1" that code joins to an action later). Relative nemesis
     entries ("+1000=heal") carry no point and are skipped.
+  - The model checker's replay recipes (src/analysis/protocol_spec.cc), which
+    it builds at run time: "<point>.after" for every "tm.*" point literal a
+    spec rule passes to Force(...), and tm.send.<TYPE> for every wire name in
+    SpecMsgTypeName.
 
 Synthetic names are exempt: unit tests for the failpoint machinery itself arm
 throwaway points on a bare FailpointRegistry. A name is synthetic when it has
@@ -40,7 +44,12 @@ from pathlib import Path
 EVAL_RE = re.compile(r'\b(?:Eval|AtPoint|AtWritePoint|AtTransition)\(\s*"([^"]+)"')
 FORCE_RE = re.compile(r'\b(?:ForceAt\(\s*|PrepareCoordinator\([^"();]*)"([^"]+)"')
 ARM_RE = re.compile(r'\bArm\(\s*"([^"]+)"')
-MSG_TYPE_RE = re.compile(r'return\s+"([A-Z][A-Z-]*)";')
+MSG_TYPE_RE = re.compile(r'return\s+"([^"]+)";')
+# What a wire-name function returns for an out-of-range type.
+UNNAMED_TYPES = ("UNKNOWN", "?")
+# A spec rule's Force(role, phase, "tm.point", rec): the point is the first
+# "tm." literal before the call's closing semicolon.
+SPEC_FORCE_RE = re.compile(r'\bForce\((?:[^;"]|"[^"]*")*?"(tm\.[^"]+)"')
 # One schedule entry or trigger inside any string literal. The name must look
 # like a dotted failpoint (letters/digits/underscore/dot) directly before
 # @site#hit; the "=action" may follow or be absent.
@@ -60,6 +69,25 @@ def iter_cc(root: Path, rel_dirs: list[str]):
             yield from sorted(base.rglob("*.cc"))
 
 
+def message_type_names(path: Path, function: str) -> list[tuple[str, int]]:
+    """(wire name, line) for each name `function` in `path` returns."""
+    names: list[tuple[str, int]] = []
+    if not path.is_file():
+        return names
+    in_names = False
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1):
+        if function in line:
+            in_names = True
+        if in_names:
+            m = MSG_TYPE_RE.search(line)
+            if m and m.group(1) not in UNNAMED_TYPES:
+                names.append((m.group(1), lineno))
+            if line.startswith("}"):
+                break
+    return names
+
+
 def registered_points(root: Path) -> set[str]:
     points: set[str] = set()
     for path in iter_cc(root, ["src"]):
@@ -69,17 +97,8 @@ def registered_points(root: Path) -> set[str]:
             points.add(name + ".before")
             points.add(name + ".after")
     messages = root / "src" / "tranman" / "messages.cc"
-    if messages.is_file():
-        in_names = False
-        for line in messages.read_text(encoding="utf-8").splitlines():
-            if "TmMsgTypeName" in line:
-                in_names = True
-            if in_names:
-                m = MSG_TYPE_RE.search(line)
-                if m and m.group(1) != "UNKNOWN":
-                    points.add("tm.send." + m.group(1))
-                if line.startswith("}"):
-                    break
+    for name, _ in message_type_names(messages, "TmMsgTypeName"):
+        points.add("tm.send." + name)
     return points
 
 
@@ -106,6 +125,14 @@ def armed_points(root: Path) -> dict[str, list[str]]:
             for s in STRING_RE.finditer(line):
                 for m in SCHEDULE_ENTRY_RE.finditer(s.group(1)):
                     note(m.group(1), path, lineno)
+
+    spec = root / "src" / "analysis" / "protocol_spec.cc"
+    if spec.is_file():
+        text = spec.read_text(encoding="utf-8", errors="replace")
+        for m in SPEC_FORCE_RE.finditer(text):
+            note(m.group(1) + ".after", spec, text.count("\n", 0, m.start(1)) + 1)
+        for name, lineno in message_type_names(spec, "SpecMsgTypeName"):
+            note("tm.send." + name, spec, lineno)
     return armed
 
 

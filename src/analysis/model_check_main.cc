@@ -7,6 +7,7 @@
 // Exit status: 0 = every requested check passed, 1 = violation (or a
 // mutation the checker failed to kill), 2 = bad usage.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,10 +36,11 @@ struct Args {
   bool quiet = false;
 };
 
+// Every numeric flag is a count: a decimal integer in [0, INT_MAX].
 bool ParseInt(const char* s, int* out) {
   char* end = nullptr;
-  long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') {
+  const long v = std::strtol(s, &end, 10);  // Clamps out-of-range input to LONG_MIN/MAX.
+  if (end == s || *end != '\0' || v < 0 || v > INT_MAX) {
     return false;
   }
   *out = static_cast<int>(v);
@@ -99,26 +101,10 @@ bool Parse(int argc, char** argv, Args* a) {
     } else if (arg == "--quiet") {
       a->quiet = true;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      std::fprintf(stderr, "unknown argument or count outside [0, %d]: %s\n", INT_MAX,
+                   arg.c_str());
       return false;
     }
-  }
-  return true;
-}
-
-bool VariantOptions(const std::string& variant, int f, camelot::CommitOptions* out) {
-  if (variant == "2pc") {
-    *out = camelot::CommitOptions::Optimized();
-  } else if (variant == "2pc-unopt") {
-    *out = camelot::CommitOptions::Unoptimized();
-  } else if (variant == "2pc-int") {
-    *out = camelot::CommitOptions::Intermediate();
-  } else if (variant == "nbc") {
-    *out = camelot::CommitOptions::NonBlocking();
-  } else if (variant == "paxos") {
-    *out = camelot::CommitOptions::Paxos(static_cast<uint32_t>(f));
-  } else {
-    return false;
   }
   return true;
 }
@@ -182,22 +168,28 @@ int main(int argc, char** argv) {
     return RunMutations(a.quiet);
   }
 
-  camelot::SpecScenario sc;
-  if (!VariantOptions(a.variant, a.f, &sc.options)) {
+  camelot::Result<camelot::CommitOptions> options = camelot::ParseProtocolName(a.variant);
+  if (!options.ok()) {
     std::fprintf(stderr, "unknown variant: %s\n", a.variant.c_str());
     Usage();
     return 2;
   }
-  sc.update_subs = a.updates;
-  sc.readonly_subs = a.readonly;
-  if (a.updates < 0 || a.readonly < 0 || sc.procs() > camelot::kSpecMaxProcs) {
+  camelot::SpecScenario sc;
+  sc.options = *options;
+  if (sc.options.protocol == camelot::CommitProtocol::kPaxos) {
+    sc.options.paxos_f = static_cast<uint32_t>(a.f);
+  }
+  // Both counts are in [0, INT_MAX], so neither side overflows.
+  if (a.updates > camelot::kSpecMaxProcs - 1 - a.readonly) {
     std::fprintf(stderr,
                  "the spec holds at most %d processes (the coordinator and %d "
-                 "subordinates); --updates=%d --readonly=%d asks for %d\n",
+                 "subordinates); --updates=%d --readonly=%d asks for %lld\n",
                  camelot::kSpecMaxProcs, camelot::kSpecMaxProcs - 1, a.updates, a.readonly,
-                 sc.procs());
+                 1LL + a.updates + a.readonly);
     return 2;
   }
+  sc.update_subs = a.updates;
+  sc.readonly_subs = a.readonly;
   sc.local_updates = a.local;
   if (a.outcome == "commit") {
     sc.outcome = camelot::TxnOutcome::kCommit;

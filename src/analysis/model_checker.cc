@@ -192,55 +192,11 @@ std::optional<Found> CheckTerminal(const SpecMachine& m, const SpecState& s,
   return std::nullopt;
 }
 
-// Whether `mv` is applicable in `s` (guard holds, message exists, budget
-// available). Used by trace minimization to validate shortened traces.
-bool MoveApplicable(const SpecMachine& m, const SpecState& s, const SpecMove& mv,
-                    const SpecBounds& bounds) {
-  switch (mv.kind) {
-    case SpecMove::Kind::kRule: {
-      const SpecProc& p = s.procs[static_cast<size_t>(mv.proc)];
-      if (p.crashed) {
-        return false;
-      }
-      const SpecRule& rule = m.rules()[static_cast<size_t>(mv.rule)];
-      if (rule.takeover_start) {
-        int total = 0;
-        for (const SpecProc& pr : s.procs) {
-          total += pr.takeover_rounds;
-        }
-        if (p.takeover_rounds >= bounds.max_takeover_rounds ||
-            total >= bounds.max_total_takeovers) {
-          return false;
-        }
-      }
-      return rule.guard(m, s, mv.proc, nullptr);
-    }
-    case SpecMove::Kind::kDeliver: {
-      if (!s.HasMsg(mv.msg) || s.procs[static_cast<size_t>(mv.proc)].crashed) {
-        return false;
-      }
-      return m.rules()[static_cast<size_t>(mv.rule)].guard(m, s, mv.proc, &mv.msg);
-    }
-    case SpecMove::Kind::kCrash: {
-      const SpecProc& p = s.procs[static_cast<size_t>(mv.proc)];
-      return !p.crashed && s.crashes_used < bounds.max_crashes;
-    }
-    case SpecMove::Kind::kRecover:
-      return s.procs[static_cast<size_t>(mv.proc)].crashed;
-    case SpecMove::Kind::kLose:
-      return s.HasMsg(mv.msg) && s.losses_used < bounds.max_losses;
-    case SpecMove::Kind::kNoVote: {
-      const SpecProc& p = s.procs[static_cast<size_t>(mv.proc)];
-      return !p.crashed && p.phase == SpecPhase::kStart &&
-             s.no_votes_used < bounds.max_no_votes;
-    }
-  }
-  return false;
-}
-
-// Replays `moves` from the initial state. Returns the invariant found at any
-// point along the way (first hit wins, matching the BFS which checks every
-// state), or nullopt if the trace no longer violates / no longer applies.
+// Replays `moves` from the initial state, taking each move only where
+// Successors offers it, so a replay and the BFS share one definition of an
+// enabled move. Returns the invariant found at any point along the way
+// (first hit wins, matching the BFS which checks every state), or nullopt if
+// the trace no longer violates / no longer applies.
 std::optional<Found> ReplayTrace(const SpecMachine& m, const std::vector<SpecMove>& moves,
                                  const SpecBounds& bounds) {
   SpecState s = m.Initial();
@@ -249,10 +205,13 @@ std::optional<Found> ReplayTrace(const SpecMachine& m, const std::vector<SpecMov
     if (hit.has_value()) {
       return hit;
     }
-    if (!MoveApplicable(m, s, mv, bounds)) {
+    std::vector<SpecSuccessor> next = m.Successors(s, bounds);
+    auto taken = std::find_if(next.begin(), next.end(),
+                              [&mv](const SpecSuccessor& n) { return n.move == mv; });
+    if (taken == next.end()) {
       return std::nullopt;
     }
-    s = m.Apply(s, mv, nullptr);
+    s = std::move(taken->state);
     hit = CheckStateInvariants(m, s);
   }
   return hit;
@@ -282,21 +241,6 @@ std::vector<SpecMove> MinimizeTrace(const SpecMachine& m, std::vector<SpecMove> 
     }
   }
   return moves;
-}
-
-std::string ProtocolToken(const SpecScenario& sc) {
-  switch (sc.options.protocol) {
-    case CommitProtocol::kNonBlocking:
-      return "nbc";
-    case CommitProtocol::kPaxos:
-      return "paxos";
-    case CommitProtocol::kTwoPhase:
-      break;
-  }
-  if (sc.options.force_subordinate_commit) {
-    return sc.options.piggyback_commit_ack ? "2pc-int" : "2pc-unopt";
-  }
-  return "2pc";
 }
 
 // Best-effort CAMELOT_* replay recipe: walks the trace tracking each
@@ -349,7 +293,7 @@ std::string BuildReplayRecipe(const SpecMachine& m, const std::vector<SpecMove>&
     s = std::move(next);
   }
 
-  std::string recipe = "CAMELOT_PROTOCOL=" + ProtocolToken(m.scenario());
+  std::string recipe = "CAMELOT_PROTOCOL=" + ProtocolName(m.scenario().options);
   if (m.scenario().options.protocol == CommitProtocol::kPaxos) {
     recipe += " CAMELOT_F=" + std::to_string(m.scenario().options.paxos_f);
   }

@@ -102,20 +102,14 @@ const char* SpecPhaseName(SpecPhase p) {
 }
 
 std::string SpecScenario::Label() const {
-  const char* variant = "2pc";
-  char buf[96];
-  if (options.protocol == CommitProtocol::kNonBlocking) {
-    variant = "nbc";
-  } else if (options.protocol == CommitProtocol::kPaxos) {
-    std::snprintf(buf, sizeof(buf), "paxos(F=%u) u=%d r=%d L=%d %s", options.paxos_f,
-                  update_subs, readonly_subs, local_updates ? 1 : 0,
-                  outcome == TxnOutcome::kCommit ? "commit" : "abort");
-    return buf;
-  } else if (options.force_subordinate_commit) {
-    variant = options.piggyback_commit_ack ? "2pc-int" : "2pc-unopt";
+  std::string variant = ProtocolName(options);
+  if (options.protocol == CommitProtocol::kPaxos) {
+    variant += "(F=" + std::to_string(options.paxos_f) + ")";
   }
-  std::snprintf(buf, sizeof(buf), "%s u=%d r=%d L=%d %s", variant, update_subs, readonly_subs,
-                local_updates ? 1 : 0, outcome == TxnOutcome::kCommit ? "commit" : "abort");
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%s u=%d r=%d L=%d %s", variant.c_str(), update_subs,
+                readonly_subs, local_updates ? 1 : 0,
+                outcome == TxnOutcome::kCommit ? "commit" : "abort");
   return buf;
 }
 
@@ -362,6 +356,87 @@ SpecMsg Mk(SpecMsgType type) {
   SpecMsg m;
   m.type = type;
   return m;
+}
+
+// The coordinator's shared vote-phase steps. A variant adds each at its own
+// position under the same name; protocol_spec.h says why both matter.
+
+// PREPARE to every subordinate; the coordinator's own vote is local.
+SpecRule CoordinatorStart(const char* name, int subs, bool commit_outcome) {
+  return SpecRule{
+      name, false, false, std::nullopt,
+      [commit_outcome, subs](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
+        return self == 0 && commit_outcome && subs > 0 && P(s, 0).phase == SpecPhase::kStart;
+      },
+      [subs](SpecCtx& ctx, const SpecMsg*) {
+        for (int q = 1; q <= subs; ++q) {
+          ctx.Send("coord", q, Mk(SpecMsgType::kPrepare));
+        }
+        ctx.me().voted_mask |= Bit(0);  // The coordinator's own (local) vote.
+        ctx.me().phase = SpecPhase::kVoteWait;
+      }};
+}
+
+// Records one vote at a process tallying them (the coordinator, or any
+// Paxos acceptor).
+void TallyVote(SpecCtx& ctx, const SpecMsg* msg) {
+  ctx.me().voted_mask |= Bit(msg->from);
+  if (msg->vote == 0) {
+    ctx.me().no_mask |= Bit(msg->from);
+  }
+}
+
+SpecRule CoordinatorVoteRecord() {
+  return SpecRule{"coord.vote.record", false, false, SpecMsgType::kVote,
+                  [](const SpecMachine&, const SpecState& s, int self, const SpecMsg* msg) {
+                    return self == 0 && P(s, 0).phase == SpecPhase::kVoteWait &&
+                           (P(s, 0).voted_mask & Bit(msg->from)) == 0;
+                  },
+                  TallyVote};
+}
+
+// The coordinator's unilateral abort while it still owns the decision.
+void CoordinatorAbort(SpecCtx& ctx, int subs) {
+  ctx.Spool("coord", "abort", {SpecLogKind::kAbortRec});
+  ctx.Decide(SpecDecision::kAbort);
+  ctx.DropLocks();
+  for (int q = 1; q <= subs; ++q) {
+    ctx.Send("coord", q, Mk(SpecMsgType::kAbort));
+  }
+  ctx.Retire();
+}
+
+// A refused vote aborts the family.
+SpecRule AbortOnNoVote(int subs) {
+  return SpecRule{
+      "coord.abort.votes", false, false, std::nullopt,
+      [](const SpecMachine& m, const SpecState& s, int self, const SpecMsg*) {
+        return self == 0 && P(s, 0).phase == SpecPhase::kVoteWait && P(s, 0).no_mask != 0 &&
+               m.knobs().check_all_votes;
+      },
+      [subs](SpecCtx& ctx, const SpecMsg*) { CoordinatorAbort(ctx, subs); }};
+}
+
+// Vote-timeout abort: a crashed subordinate whose vote is missing lets the
+// coordinator abort unilaterally — safe pre-decision for 2PC and NBC (the
+// coordinator owns the decision until it replicates), never for Paxos.
+SpecRule VoteTimeoutAbort(int subs) {
+  return SpecRule{
+      "coord.timeout.abort", true, false, std::nullopt,
+      [subs](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
+        if (self != 0 || P(s, 0).phase != SpecPhase::kVoteWait) {
+          return false;
+        }
+        // A timeout does not know WHY the vote is missing (crashed sub,
+        // recovered-and-forgot sub, slow link): any missing vote suffices.
+        for (int q = 1; q <= subs; ++q) {
+          if ((P(s, 0).voted_mask & Bit(q)) == 0) {
+            return true;
+          }
+        }
+        return false;
+      },
+      [subs](SpecCtx& ctx, const SpecMsg*) { CoordinatorAbort(ctx, subs); }};
 }
 
 }  // namespace
@@ -649,31 +724,8 @@ void SpecMachine::BuildTwoPhaseRules() {
   const int subs = scenario_.subs();
   const bool commit_outcome = scenario_.outcome == TxnOutcome::kCommit;
 
-  rules_.push_back(SpecRule{
-      "coord.start", false, false, std::nullopt,
-      [commit_outcome, subs](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
-        return self == 0 && commit_outcome && subs > 0 && P(s, 0).phase == SpecPhase::kStart;
-      },
-      [subs](SpecCtx& ctx, const SpecMsg*) {
-        for (int q = 1; q <= subs; ++q) {
-          ctx.Send("coord", q, Mk(SpecMsgType::kPrepare));
-        }
-        ctx.me().voted_mask |= Bit(0);  // The coordinator's own (local) vote.
-        ctx.me().phase = SpecPhase::kVoteWait;
-      }});
-
-  rules_.push_back(SpecRule{
-      "coord.vote.record", false, false, SpecMsgType::kVote,
-      [](const SpecMachine&, const SpecState& s, int self, const SpecMsg* msg) {
-        return self == 0 && P(s, 0).phase == SpecPhase::kVoteWait &&
-               (P(s, 0).voted_mask & Bit(msg->from)) == 0;
-      },
-      [](SpecCtx& ctx, const SpecMsg* msg) {
-        ctx.me().voted_mask |= Bit(msg->from);
-        if (msg->vote == 0) {
-          ctx.me().no_mask |= Bit(msg->from);
-        }
-      }});
+  rules_.push_back(CoordinatorStart("coord.start", subs, commit_outcome));
+  rules_.push_back(CoordinatorVoteRecord());
 
   // The commit point: all votes in, none refused (unless the mutation skips
   // the check), something to make durable.
@@ -717,81 +769,16 @@ void SpecMachine::BuildTwoPhaseRules() {
         ctx.Retire();
       }});
 
-  // A refused vote aborts the family (coordinator-owned decision).
-  rules_.push_back(SpecRule{
-      "coord.abort.votes", false, false, std::nullopt,
-      [subs](const SpecMachine& m, const SpecState& s, int self, const SpecMsg*) {
-        return self == 0 && P(s, 0).phase == SpecPhase::kVoteWait && P(s, 0).no_mask != 0 &&
-               m.knobs().check_all_votes;
-      },
-      [subs](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Spool("coord", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        ctx.DropLocks();
-        for (int q = 1; q <= subs; ++q) {
-          ctx.Send("coord", q, Mk(SpecMsgType::kAbort));
-        }
-        ctx.Retire();
-      }});
-
-  // Vote-timeout abort: a crashed subordinate whose vote is missing lets the
-  // coordinator abort unilaterally — safe pre-decision for 2PC and NBC (the
-  // coordinator owns the decision until it replicates), never for Paxos.
-  rules_.push_back(SpecRule{
-      "coord.timeout.abort", true, false, std::nullopt,
-      [subs](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
-        if (self != 0 || P(s, 0).phase != SpecPhase::kVoteWait) {
-          return false;
-        }
-        // A timeout does not know WHY the vote is missing (crashed sub,
-        // recovered-and-forgot sub, slow link): any missing vote suffices.
-        for (int q = 1; q <= subs; ++q) {
-          if ((P(s, 0).voted_mask & Bit(q)) == 0) {
-            return true;
-          }
-        }
-        return false;
-      },
-      [subs](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Spool("coord", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        ctx.DropLocks();
-        for (int q = 1; q <= subs; ++q) {
-          ctx.Send("coord", q, Mk(SpecMsgType::kAbort));
-        }
-        ctx.Retire();
-      }});
+  rules_.push_back(AbortOnNoVote(subs));
+  rules_.push_back(VoteTimeoutAbort(subs));
 }
 
 void SpecMachine::BuildNonBlockingRules() {
   const int subs = scenario_.subs();
   const bool commit_outcome = scenario_.outcome == TxnOutcome::kCommit;
 
-  rules_.push_back(SpecRule{
-      "coord.start.nbc", false, false, std::nullopt,
-      [commit_outcome, subs](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
-        return self == 0 && commit_outcome && subs > 0 && P(s, 0).phase == SpecPhase::kStart;
-      },
-      [subs](SpecCtx& ctx, const SpecMsg*) {
-        for (int q = 1; q <= subs; ++q) {
-          ctx.Send("coord", q, Mk(SpecMsgType::kPrepare));
-        }
-        ctx.me().voted_mask |= Bit(0);
-        ctx.me().phase = SpecPhase::kVoteWait;
-      }});
-
-  rules_.push_back(SpecRule{
-      "coord.vote.record", false, false, SpecMsgType::kVote,
-      [](const SpecMachine&, const SpecState& s, int self, const SpecMsg* msg) {
-        return self == 0 && P(s, 0).phase == SpecPhase::kVoteWait &&
-               (P(s, 0).voted_mask & Bit(msg->from)) == 0;
-      },
-      [](SpecCtx& ctx, const SpecMsg* msg) {
-        ctx.me().voted_mask |= Bit(msg->from);
-        if (msg->vote == 0) {
-          ctx.me().no_mask |= Bit(msg->from);
-        }
-      }});
+  rules_.push_back(CoordinatorStart("coord.start.nbc", subs, commit_outcome));
+  rules_.push_back(CoordinatorVoteRecord());
 
   // The epoch-0 replication point: prepare force (iff local updates) and the
   // replicate force, deferring to any promised or accepted takeover round
@@ -883,48 +870,9 @@ void SpecMachine::BuildNonBlockingRules() {
         ctx.me().fanout_sent = false;
       }});
 
-  // Same vote-timeout escape hatch as 2PC, valid only before replication.
-  rules_.push_back(SpecRule{
-      "coord.timeout.abort", true, false, std::nullopt,
-      [subs](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
-        if (self != 0 || P(s, 0).phase != SpecPhase::kVoteWait) {
-          return false;
-        }
-        // A timeout does not know WHY the vote is missing (crashed sub,
-        // recovered-and-forgot sub, slow link): any missing vote suffices.
-        for (int q = 1; q <= subs; ++q) {
-          if ((P(s, 0).voted_mask & Bit(q)) == 0) {
-            return true;
-          }
-        }
-        return false;
-      },
-      [subs](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Spool("coord", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        ctx.DropLocks();
-        for (int q = 1; q <= subs; ++q) {
-          ctx.Send("coord", q, Mk(SpecMsgType::kAbort));
-        }
-        ctx.Retire();
-      }});
-
-  // NBC abort on a refused vote (pre-replication, coordinator-owned).
-  rules_.push_back(SpecRule{
-      "coord.abort.votes", false, false, std::nullopt,
-      [subs](const SpecMachine& m, const SpecState& s, int self, const SpecMsg*) {
-        return self == 0 && P(s, 0).phase == SpecPhase::kVoteWait && P(s, 0).no_mask != 0 &&
-               m.knobs().check_all_votes;
-      },
-      [subs](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Spool("coord", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        ctx.DropLocks();
-        for (int q = 1; q <= subs; ++q) {
-          ctx.Send("coord", q, Mk(SpecMsgType::kAbort));
-        }
-        ctx.Retire();
-      }});
+  // Both coordinator aborts hold only in the vote wait, before replication.
+  rules_.push_back(VoteTimeoutAbort(subs));
+  rules_.push_back(AbortOnNoVote(subs));
 }
 
 void SpecMachine::BuildPaxosRules() {
@@ -974,12 +922,7 @@ void SpecMachine::BuildPaxosRules() {
         return m.IsAcceptor(self) && P(s, self).phase != SpecPhase::kDone &&
                (P(s, self).voted_mask & Bit(msg->from)) == 0;
       },
-      [](SpecCtx& ctx, const SpecMsg* msg) {
-        ctx.me().voted_mask |= Bit(msg->from);
-        if (msg->vote == 0) {
-          ctx.me().no_mask |= Bit(msg->from);
-        }
-      }});
+      TallyVote});
 
   // Ballot-0 accept: a complete all-yes vote set (or any vote at all, under
   // the mutation) lets an unpromised acceptor force its batched accept.
@@ -1065,21 +1008,7 @@ void SpecMachine::BuildPaxosRules() {
 
   // A refused vote: no acceptor can ever assemble an all-yes set, so the
   // coordinator may abort unilaterally.
-  rules_.push_back(SpecRule{
-      "coord.abort.votes", false, false, std::nullopt,
-      [subs](const SpecMachine& m, const SpecState& s, int self, const SpecMsg*) {
-        return self == 0 && P(s, 0).phase == SpecPhase::kVoteWait && P(s, 0).no_mask != 0 &&
-               m.knobs().check_all_votes;
-      },
-      [subs](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Spool("coord", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        ctx.DropLocks();
-        for (int q = 1; q <= subs; ++q) {
-          ctx.Send("coord", q, Mk(SpecMsgType::kAbort));
-        }
-        ctx.Retire();
-      }});
+  rules_.push_back(AbortOnNoVote(subs));
 }
 
 void SpecMachine::BuildTakeoverRules(bool paxos) {
@@ -1217,7 +1146,7 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
   // highest accepted value (else abort) through an accept round.
   rules_.push_back(SpecRule{
       "take.decide.value", true, false, std::nullopt,
-      [paxos](const SpecMachine& m, const SpecState& s, int self, const SpecMsg*) {
+      [](const SpecMachine& m, const SpecState& s, int self, const SpecMsg*) {
         const SpecProc& p = P(s, self);
         if (p.phase != SpecPhase::kGather || !p.fanout_sent) {
           return false;
@@ -1233,7 +1162,6 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
         if ((m.AcceptorMask() & Bit(self)) != 0) {
           ++have;  // The leader's own durable self-promise.
         }
-        (void)paxos;
         return have >= m.read_quorum();
       },
       [](SpecCtx& ctx, const SpecMsg*) {
@@ -1312,18 +1240,12 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
             p.phase == SpecPhase::kLeadNotify) {
           return false;  // A competing leader ignores proposals; epochs sort it out.
         }
-        if (m.knobs().check_promise && msg->epoch < p.promised) {
-          return false;
-        }
-        if (p.has_accepted && p.accepted_epoch == msg->epoch &&
-            p.accepted_value == DecisionOf(msg->value)) {
-          return true;  // Re-deliver: just re-ack (idempotent).
-        }
-        return true;
+        return !m.knobs().check_promise || msg->epoch >= p.promised;
       },
       [](SpecCtx& ctx, const SpecMsg* msg) {
         SpecProc& p = ctx.me();
         const SpecDecision v = DecisionOf(msg->value);
+        // A re-delivered proposal is only re-acked (idempotent).
         if (!p.has_accepted || p.accepted_epoch != msg->epoch || p.accepted_value != v) {
           const char* role = msg->epoch == 0 ? "sub" : "takeover";
           const char* phase = msg->epoch == 0 ? "accept.replicate" : "accept.ballot";
@@ -1420,36 +1342,25 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
 
   // The coordinator defers to a decided takeover round (the PR2 fix): adopt
   // the broadcast decision instead of clobbering it with its own.
-  rules_.push_back(SpecRule{
-      "coord.adopt.commit", false, false, SpecMsgType::kCommit,
-      [](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
-        const SpecPhase ph = P(s, 0).phase;
-        return self == 0 && P(s, 0).decided == SpecDecision::kNone &&
-               (ph == SpecPhase::kVoteWait || ph == SpecPhase::kRepWait ||
-                ph == SpecPhase::kPrepared || ph == SpecPhase::kStart ||
-                ph == SpecPhase::kGather || ph == SpecPhase::kTakeRepWait);
-      },
-      [](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Spool("coord", "commit", {SpecLogKind::kCommitRec});
-        ctx.Decide(SpecDecision::kCommit);
-        ctx.DropLocks();
-        ctx.Retire();
-      }});
-  rules_.push_back(SpecRule{
-      "coord.adopt.abort", false, false, SpecMsgType::kAbort,
-      [](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
-        const SpecPhase ph = P(s, 0).phase;
-        return self == 0 && P(s, 0).decided == SpecDecision::kNone &&
-               (ph == SpecPhase::kVoteWait || ph == SpecPhase::kRepWait ||
-                ph == SpecPhase::kPrepared || ph == SpecPhase::kStart ||
-                ph == SpecPhase::kGather || ph == SpecPhase::kTakeRepWait);
-      },
-      [](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Spool("coord", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        ctx.DropLocks();
-        ctx.Retire();
-      }});
+  for (const bool commit : {true, false}) {
+    rules_.push_back(SpecRule{
+        commit ? "coord.adopt.commit" : "coord.adopt.abort", false, false,
+        commit ? SpecMsgType::kCommit : SpecMsgType::kAbort,
+        [](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
+          const SpecPhase ph = P(s, 0).phase;
+          return self == 0 && P(s, 0).decided == SpecDecision::kNone &&
+                 (ph == SpecPhase::kVoteWait || ph == SpecPhase::kRepWait ||
+                  ph == SpecPhase::kPrepared || ph == SpecPhase::kStart ||
+                  ph == SpecPhase::kGather || ph == SpecPhase::kTakeRepWait);
+        },
+        [commit](SpecCtx& ctx, const SpecMsg*) {
+          ctx.Spool("coord", commit ? "commit" : "abort",
+                    {commit ? SpecLogKind::kCommitRec : SpecLogKind::kAbortRec});
+          ctx.Decide(commit ? SpecDecision::kCommit : SpecDecision::kAbort);
+          ctx.DropLocks();
+          ctx.Retire();
+        }});
+  }
 
   // Recovered in-doubt coordinators also resolve via the shared status /
   // takeover machinery; prepared-coordinator status queries go nowhere (it IS

@@ -21,6 +21,14 @@
 //      quorum, skip a promise check) so a seeded mutation suite can prove
 //      the checker actually kills buggy specs.
 //
+// A variant's rule table composes the coordinator's shared vote-phase steps
+// (CoordinatorStart, CoordinatorVoteRecord, AbortOnNoVote and
+// VoteTimeoutAbort in protocol_spec.cc) with the rules only it has, so a new
+// variant writes only what it does differently. Rule names and each
+// variant's rule order are part of the explored state space: Successors
+// enumerates moves rule by rule, and the checker's digests and violation
+// reports pin both.
+//
 // Modeling notes, where the spec is deliberately more abstract than the
 // runtime: transitions are atomic (a crash lands between rule firings, never
 // between a force and the send in the same rule — rules that force and then
@@ -288,6 +296,8 @@ struct SpecMove {
   int proc = 0;   // Acting process (rule self / crash target / no-voter).
   int rule = -1;  // Index into rules() for kRule / kDeliver.
   SpecMsg msg;    // The delivered / lost message.
+
+  friend bool operator==(const SpecMove&, const SpecMove&) = default;
 };
 
 // One move Successors keeps, with the state it leads to and that state's
@@ -318,7 +328,6 @@ class SpecMachine {
 
   bool IsCoordinator(int p) const { return p == 0; }
   bool IsUpdateSub(int p) const { return p >= 1 && p <= scenario_.update_subs; }
-  bool IsReadonlySub(int p) const { return p > scenario_.update_subs && p < n(); }
   // Paxos: the first min(2F+1, n) participant sites (clamped odd),
   // coordinator first. Empty for other variants.
   bool IsAcceptor(int p) const { return p < acceptors_; }

@@ -5,6 +5,13 @@
 #include <utility>
 
 namespace camelot {
+namespace {
+
+constexpr int64_t kInitialBalance = 1000;
+constexpr int64_t kMaxAmount = 5;  // Transfer amounts are 1..kMaxAmount.
+constexpr double kRetryBudgetCap = 50.0;
+
+}  // namespace
 
 // --- ZipfianGenerator ---------------------------------------------------------
 //
@@ -47,13 +54,13 @@ uint64_t ZipfianGenerator::Next(Rng& rng) const {
 // --- LoadGenStats -------------------------------------------------------------
 
 double LoadGenStats::GoodputTps(SimTime from, SimTime to) const {
-  if (to <= from || bucket_width <= 0) {
+  if (to <= from) {
     return 0;
   }
   uint64_t commits = 0;
   for (size_t i = 0; i < goodput_buckets.size(); ++i) {
-    const SimTime lo = start + static_cast<SimTime>(i) * bucket_width;
-    const SimTime hi = lo + bucket_width;
+    const SimTime lo = start + static_cast<SimTime>(i) * kBucketWidth;
+    const SimTime hi = lo + kBucketWidth;
     if (lo >= from && hi <= to) {
       commits += goodput_buckets[i];
     }
@@ -66,8 +73,8 @@ double LoadGenStats::GoodputTps(SimTime from, SimTime to) const {
 BankWorkloadConfig ToBankConfig(const LoadGenConfig& cfg) {
   BankWorkloadConfig bank;
   bank.accounts_per_site = cfg.accounts_per_site;
-  bank.initial_balance = cfg.initial_balance;
-  bank.max_amount = cfg.max_amount;
+  bank.initial_balance = kInitialBalance;
+  bank.max_amount = kMaxAmount;
   bank.options = cfg.options;
   bank.rng_seed = cfg.rng_seed;
   return bank;
@@ -77,12 +84,10 @@ LoadGen::LoadGen(World& world, LoadGenConfig cfg)
     : world_(world),
       cfg_(cfg),
       rng_(cfg.rng_seed * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL),
-      budget_(cfg.retry_budget_ratio, cfg.retry_budget_cap),
+      budget_(cfg.retry_budget_ratio, kRetryBudgetCap),
       zipf_(static_cast<uint64_t>(world.site_count()) *
                 static_cast<uint64_t>(std::max(cfg.accounts_per_site, 1)),
-            cfg.zipf_theta) {
-  stats_.bucket_width = cfg_.bucket_width;
-}
+            cfg.zipf_theta) {}
 
 void LoadGen::Start() {
   stats_.start = world_.sched().now();
@@ -98,10 +103,7 @@ Async<void> LoadGen::ArrivalLoop() {
     ++in_flight_;
     stats_.in_flight_peak = std::max(stats_.in_flight_peak, in_flight_);
     world_.sched().Spawn(RunTxn(stats_.offered, arrival));
-    SimDuration gap =
-        cfg_.arrivals == LoadGenConfig::Arrivals::kPoisson
-            ? static_cast<SimDuration>(rng_.NextExponential(mean_gap_us))
-            : static_cast<SimDuration>(mean_gap_us);
+    const SimDuration gap = static_cast<SimDuration>(rng_.NextExponential(mean_gap_us));
     co_await world_.sched().Delay(std::max<SimDuration>(gap, 1));
   }
   arrivals_done_ = true;
@@ -123,9 +125,8 @@ void LoadGen::RecordCommit(SimTime arrival, SimTime deadline) {
     return;
   }
   ++stats_.goodput;
-  if (stats_.bucket_width > 0 && now >= stats_.start) {
-    const size_t bucket =
-        static_cast<size_t>((now - stats_.start) / stats_.bucket_width);
+  if (now >= stats_.start) {
+    const size_t bucket = static_cast<size_t>((now - stats_.start) / LoadGenStats::kBucketWidth);
     if (stats_.goodput_buckets.size() <= bucket) {
       stats_.goodput_buckets.resize(bucket + 1, 0);
     }
@@ -142,9 +143,7 @@ Async<Status> LoadGen::Attempt(AppClient& app, Rng& rng, bool read_only, SimTime
       to.site = (to.site + 1) % world_.site_count();
     }
   }
-  const int64_t amount =
-      1 + static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(
-              std::max<int64_t>(cfg_.max_amount, 1))));
+  const int64_t amount = 1 + static_cast<int64_t>(rng.NextBounded(kMaxAmount));
   auto begin = co_await app.Begin();
   if (!begin.ok()) {
     co_return begin.status();

@@ -4,9 +4,9 @@
 // The bank workload's clients are closed-loop — each waits for its transfer
 // to finish before issuing the next, so under overload the offered rate
 // politely collapses to the service rate and the system never sees a real
-// overload. This generator is the opposite: an arrival process (Poisson or
-// deterministic) spawns one independent transaction coroutine per arrival at
-// the configured rate regardless of how many are still in flight. That is
+// overload. This generator is the opposite: a Poisson arrival process spawns
+// one independent transaction coroutine per arrival at the configured rate
+// regardless of how many are still in flight. That is
 // what makes congestion collapse observable: arrivals keep coming while the
 // backlog's latency grows past every client's deadline.
 //
@@ -55,18 +55,15 @@ class ZipfianGenerator {
   double eta_ = 0;
 };
 
+// Every account starts with 1000 and transfers move 1..5 (constants in
+// load_gen.cc).
 struct LoadGenConfig {
-  enum class Arrivals : uint8_t { kPoisson, kDeterministic };
-
   double offered_tps = 50.0;              // Mean arrival rate (open loop).
-  Arrivals arrivals = Arrivals::kPoisson;
   SimDuration duration = Sec(10);         // Arrival window; completions may trail it.
 
   double read_fraction = 0.0;             // Fraction of read-only (audit-style) txns.
   int accounts_per_site = 8;
-  int64_t initial_balance = 1000;
   double zipf_theta = 0.99;               // Account hotspot skew; 0 = uniform.
-  int64_t max_amount = 5;                 // Transfer amounts 1..max_amount.
   CommitOptions options = CommitOptions::Optimized();
 
   // Long-lived transactions: after staging its updates (locks held) each
@@ -90,18 +87,17 @@ struct LoadGenConfig {
 
   // Client-level retries after a shed / transient failure: at most
   // max_retries extra attempts per arrival, all gated by a generator-wide
-  // token-bucket budget (ratio tokens earned per first attempt, spend 1 per
-  // retry; ratio <= 0 = unlimited). See src/ipc/retry_budget.h.
+  // token-bucket budget (ratio tokens earned per first attempt, at most 50
+  // banked, spend 1 per retry; ratio <= 0 = unlimited). See
+  // src/ipc/retry_budget.h.
   int max_retries = 2;
   double retry_budget_ratio = 0.1;
-  double retry_budget_cap = 50.0;
   // Collapse-arm client behavior: keep retrying failed attempts until
   // max_retries even after the deadline has passed (the user hammering
   // reload). Combined with an unlimited budget this is the retry-storm
   // amplifier the budget exists to cap.
   bool retry_past_deadline = false;
 
-  SimDuration bucket_width = Sec(1);      // Goodput time-bucket width.
   uint64_t rng_seed = 1;                  // Arrival gaps + account choices.
 };
 
@@ -118,11 +114,11 @@ struct LoadGenStats {
 
   Summary latency_ms;          // Arrival-to-commit-return, committed txns only.
 
-  // In-deadline commits per bucket_width of virtual time, indexed from the
+  // In-deadline commits per kBucketWidth of virtual time, indexed from the
   // generator's start instant. The explorer reads these to find the knee and
   // the recovery point.
+  static constexpr SimDuration kBucketWidth = Sec(1);
   std::vector<uint64_t> goodput_buckets;
-  SimDuration bucket_width = Sec(1);
   SimTime start = 0;
 
   // Mean in-deadline commits/sec between the two absolute instants.

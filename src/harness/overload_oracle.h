@@ -15,7 +15,7 @@
 //   - bounded p99: committed-transaction latency stays within a multiple of
 //     the client deadline (unbounded queues show up here first);
 //   - recovery: within the recovery window the background load's goodput
-//     returns to >= recovery_fraction of its pre-spike average — the
+//     returns to >= 0.75 of its pre-spike average — the
 //     anti-metastability check (a retry storm that outlives its trigger
 //     fails this even though the spike itself ended);
 //   - safety under pressure: money conservation (AuditBankInvariant), no
@@ -68,57 +68,18 @@ CapacityModel PredictCapacity(const WorldConfig& world, const CommitOptions& opt
 // when an overload oracle fails.
 std::string QueueHealthReport(World& world);
 
+// The explorer runs one fixed study (three sites with a small, slow worker
+// pool; a calibrated 0.5x baseline, a 5x spike and a recovery window; fixed
+// oracle thresholds; all constants in overload_oracle.cc). Callers pick the
+// seed, the commit variant, and whether and how admission control sheds.
 struct OverloadExplorerConfig {
-  int site_count = 3;
   uint64_t seed = 1;
   std::optional<CommitOptions> variant;
   CommitOptions Options() const { return variant.value_or(CommitOptions::Optimized()); }
 
-  // World sizing: a small pool and a fat per-event CPU burst put the knee low
-  // enough that short virtual windows carry real overload.
-  size_t worker_threads = 2;
-  SimDuration cpu_per_event = Usec(3000);
-
   // The machinery under test; `shedding = false` is the collapse arm.
   bool shedding = true;
-  size_t admission_queue_limit = 64;
   AdmissionPolicy admission_policy = AdmissionPolicy::kDeadlineDrop;
-  size_t max_live_families = 512;
-  double rpc_retry_budget_ratio = 0.1;  // Transport-level budget (shedding arm).
-  double rpc_retry_budget_cap = 50;
-
-  // Load profile in multiples of the MEASURED usable knee. The static model
-  // bounds CPU and forces but not lock contention on the Zipfian hotspot
-  // (which ignites well below the CPU knee), so each run first calibrates: a
-  // shedding world is driven at the predicted CPU-bound rate for
-  // calibration_window and the goodput it sustains is taken as the usable
-  // capacity. Both arms anchor on the same measurement so the A/B compares
-  // identical offered load.
-  SimDuration calibration_window = Sec(6);
-  double baseline_multiplier = 0.5;
-  double spike_multiplier = 5.0;
-  SimDuration baseline_window = Sec(6);
-  SimDuration spike_window = Sec(4);
-  SimDuration recovery_window = Sec(8);
-
-  // Template for both generators; offered_tps/duration/propagation are set
-  // per phase and per arm. Defaults favour moderate contention so overload —
-  // not lock starvation — is what the oracle measures.
-  LoadGenConfig load = [] {
-    LoadGenConfig l;
-    l.accounts_per_site = 16;
-    l.zipf_theta = 0.5;
-    l.deadline = Sec(2);
-    l.read_fraction = 0.2;
-    return l;
-  }();
-
-  // Oracle thresholds.
-  double goodput_floor = 0.25;     // Spike goodput >= floor x baseline goodput.
-  double p99_bound_ms = 0;         // 0 = 1.5 x the client deadline.
-  double recovery_fraction = 0.75; // Post-spike background goodput recovery.
-
-  SimDuration storm_congestion = Usec(30000);  // RunLatencyStorm delay mean.
 };
 
 struct OverloadRunResult {

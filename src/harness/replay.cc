@@ -5,40 +5,6 @@
 
 namespace camelot {
 
-std::string ProtocolName(const CommitOptions& options) {
-  if (options.protocol == CommitProtocol::kPaxos) {
-    return "paxos";
-  }
-  if (options.protocol == CommitProtocol::kNonBlocking) {
-    return "nbc";
-  }
-  if (options.force_subordinate_commit) {
-    return options.piggyback_commit_ack ? "2pc-int" : "2pc-unopt";
-  }
-  return "2pc";
-}
-
-Result<CommitOptions> ParseProtocolName(std::string_view name) {
-  if (name == "2pc") {
-    return CommitOptions::Optimized();
-  }
-  if (name == "2pc-unopt") {
-    return CommitOptions::Unoptimized();
-  }
-  if (name == "2pc-int") {
-    return CommitOptions::Intermediate();
-  }
-  if (name == "nbc") {
-    return CommitOptions::NonBlocking();
-  }
-  if (name == "paxos") {
-    // The name alone does not carry F; recipes pair it with CAMELOT_F
-    // (ReadReplayRecipe), defaulting to the smallest non-degenerate set.
-    return CommitOptions::Paxos(1);
-  }
-  return InvalidArgumentError("unknown protocol name: " + std::string(name));
-}
-
 std::string ReplayRecipePrefix(uint64_t seed, const CommitOptions& options) {
   std::string prefix =
       "CAMELOT_SEED=" + std::to_string(seed) + " CAMELOT_PROTOCOL=" + ProtocolName(options);

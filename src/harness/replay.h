@@ -4,12 +4,12 @@
 // its own variables (see crash_explorer.h and overload_oracle.h), and
 // isolation failures add CAMELOT_HISTORY=<file> pointing at the dumped
 // operation history so the oracle verdict is reproducible offline without
-// re-running the simulation.
+// re-running the simulation. The protocol token grammar (ProtocolName,
+// ParseProtocolName) lives in src/tranman/local_api.h.
 #ifndef SRC_HARNESS_REPLAY_H_
 #define SRC_HARNESS_REPLAY_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/base/status.h"
@@ -17,13 +17,6 @@
 #include "src/tranman/local_api.h"
 
 namespace camelot {
-
-// The five commit variants, as replay-recipe protocol tokens: "2pc"
-// (Optimized), "2pc-unopt" (Unoptimized), "2pc-int" (Intermediate), "nbc"
-// (NonBlocking), "paxos" (Paxos Commit; F rides in CAMELOT_F, defaulting
-// to 1 on parse).
-std::string ProtocolName(const CommitOptions& options);
-Result<CommitOptions> ParseProtocolName(std::string_view name);
 
 // "CAMELOT_SEED=<seed> CAMELOT_PROTOCOL=<token>[ CAMELOT_F=<f>]" (CAMELOT_F
 // for paxos only).

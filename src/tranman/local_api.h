@@ -1,13 +1,15 @@
 // The local RPC protocol spoken between applications, data servers, and the
 // transaction manager on one site (Figure 1 of the paper). This header defines
-// method numbers and payload encodings only; it creates no link dependency
-// between the server and tranman libraries.
+// method numbers, payload encodings and the commit-variant names only; it
+// creates no link dependency on the tranman library.
 #ifndef SRC_TRANMAN_LOCAL_API_H_
 #define SRC_TRANMAN_LOCAL_API_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/base/codec.h"
+#include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/wal/log_record.h"  // CommitProtocol.
 
@@ -48,6 +50,42 @@ struct CommitOptions {
   static CommitOptions NonBlocking() { return {CommitProtocol::kNonBlocking, false, true, 0}; }
   static CommitOptions Paxos(uint32_t f) { return {CommitProtocol::kPaxos, false, true, f}; }
 };
+
+// The commit variants' names, shared by replay recipes and the model checker:
+// "2pc" (Optimized), "2pc-unopt" (Unoptimized), "2pc-int" (Intermediate),
+// "nbc" (NonBlocking), "paxos" (Paxos Commit; the name does not carry F, and
+// ParseProtocolName gives F=1, the smallest non-degenerate acceptor set).
+inline std::string ProtocolName(const CommitOptions& options) {
+  if (options.protocol == CommitProtocol::kPaxos) {
+    return "paxos";
+  }
+  if (options.protocol == CommitProtocol::kNonBlocking) {
+    return "nbc";
+  }
+  if (options.force_subordinate_commit) {
+    return options.piggyback_commit_ack ? "2pc-int" : "2pc-unopt";
+  }
+  return "2pc";
+}
+
+inline Result<CommitOptions> ParseProtocolName(std::string_view name) {
+  if (name == "2pc") {
+    return CommitOptions::Optimized();
+  }
+  if (name == "2pc-unopt") {
+    return CommitOptions::Unoptimized();
+  }
+  if (name == "2pc-int") {
+    return CommitOptions::Intermediate();
+  }
+  if (name == "nbc") {
+    return CommitOptions::NonBlocking();
+  }
+  if (name == "paxos") {
+    return CommitOptions::Paxos(1);
+  }
+  return InvalidArgumentError("unknown protocol name: " + std::string(name));
+}
 
 inline Bytes EncodeBeginRequest(const Tid& parent) {
   ByteWriter w;

@@ -68,6 +68,29 @@ TEST(SpecFold, MatchesHandAnalysisAcrossFullMatrix) {
   }
 }
 
+// The scenario label the checker CLI prints and the soak tier keys its
+// dedup on: the variant's ProtocolName (Paxos with its F), the subordinate
+// mix, locality and outcome.
+TEST(SpecScenarioTest, LabelNamesEveryVariant) {
+  const auto label = [](CommitOptions options, int u, int r, bool local, TxnOutcome outcome) {
+    SpecScenario sc;
+    sc.options = options;
+    sc.update_subs = u;
+    sc.readonly_subs = r;
+    sc.local_updates = local;
+    sc.outcome = outcome;
+    return sc.Label();
+  };
+  const TxnOutcome kC = TxnOutcome::kCommit;
+  const TxnOutcome kA = TxnOutcome::kAbort;
+  EXPECT_EQ(label(CommitOptions::Optimized(), 2, 1, false, kC), "2pc u=2 r=1 L=0 commit");
+  EXPECT_EQ(label(CommitOptions::Unoptimized(), 0, 3, true, kC), "2pc-unopt u=0 r=3 L=1 commit");
+  EXPECT_EQ(label(CommitOptions::Intermediate(), 1, 0, true, kA), "2pc-int u=1 r=0 L=1 abort");
+  EXPECT_EQ(label(CommitOptions::NonBlocking(), 3, 0, true, kA), "nbc u=3 r=0 L=1 abort");
+  EXPECT_EQ(label(CommitOptions::Paxos(2), 2, 1, false, kC), "paxos(F=2) u=2 r=1 L=0 commit");
+  EXPECT_EQ(label(CommitOptions::Paxos(0), 1, 1, true, kC), "paxos(F=0) u=1 r=1 L=1 commit");
+}
+
 struct SafetyCase {
   const char* label;
   const char* variant;
@@ -81,17 +104,8 @@ struct SafetyCase {
 
 SpecScenario ScenarioFor(const SafetyCase& c) {
   SpecScenario sc;
-  if (std::string(c.variant) == "2pc") {
-    sc.options = CommitOptions::Optimized();
-  } else if (std::string(c.variant) == "2pc-unopt") {
-    sc.options = CommitOptions::Unoptimized();
-  } else if (std::string(c.variant) == "2pc-int") {
-    sc.options = CommitOptions::Intermediate();
-  } else if (std::string(c.variant) == "nbc") {
-    sc.options = CommitOptions::NonBlocking();
-  } else {
-    sc.options = CommitOptions::Paxos(c.paxos_f);
-  }
+  sc.options = *ParseProtocolName(c.variant);
+  sc.options.paxos_f = c.paxos_f;  // 0 for every variant but paxos.
   sc.update_subs = c.updates;
   sc.readonly_subs = c.readonly;
   sc.outcome = c.outcome;
