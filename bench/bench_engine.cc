@@ -40,10 +40,10 @@
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "src/base/parallel.h"
 #include "src/base/rng.h"
 #include "src/harness/crash_explorer.h"
 #include "src/harness/experiments.h"
-#include "src/harness/parallel.h"
 #include "src/sim/channel.h"
 #include "src/sim/legacy_heap_scheduler.h"
 #include "src/sim/scheduler.h"

@@ -5,7 +5,8 @@
 //   camelot_model_check --mutations          # run the seeded kill suite
 //
 // Exit status: 0 = every requested check passed, 1 = violation (or a
-// mutation the checker failed to kill), 2 = bad usage.
+// mutation the checker failed to kill), 2 = bad usage. CAMELOT_SWEEP_THREADS
+// sets how many threads expand the frontier; it changes no output.
 
 #include <climits>
 #include <cstdio>
@@ -54,7 +55,9 @@ void Usage() {
                "  [--outcome=commit|abort] [--crashes=N] [--losses=N] [--novotes=N]\n"
                "  [--takeovers=N] [--total-takeovers=N] [--max-states=N]\n"
                "  [--termination] [--quiet]\n"
-               "  [--mutations]\n");
+               "  [--mutations]\n"
+               "The frontier is expanded on CAMELOT_SWEEP_THREADS threads (default: the\n"
+               "host's hardware threads, at most 16); output is the same at any count.\n");
 }
 
 bool Parse(int argc, char** argv, Args* a) {

@@ -4,11 +4,12 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <map>
+#include <string_view>
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/base/parallel.h"
 
 namespace camelot {
 
@@ -17,7 +18,7 @@ namespace {
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
-uint64_t FnvMix(uint64_t h, const std::string& bytes) {
+uint64_t FnvMix(uint64_t h, std::string_view bytes) {
   for (char c : bytes) {
     h ^= static_cast<uint8_t>(c);
     h *= kFnvPrime;
@@ -47,7 +48,7 @@ uint64_t Fmix64(uint64_t k) {
 
 // Two lanes, each with murmur3's per-block mixing under its own constants,
 // over the bytes as 8-byte words (the last one zero-padded).
-Fingerprint FingerprintOf(const std::string& bytes) {
+Fingerprint FingerprintOf(std::string_view bytes) {
   constexpr uint64_t kC1 = 0x87c37b91114253d5ULL;
   constexpr uint64_t kC2 = 0x4cf5ad432745937fULL;
   uint64_t a = bytes.size();
@@ -193,25 +194,35 @@ std::optional<Found> CheckTerminal(const SpecMachine& m, const SpecState& s,
 }
 
 // Replays `moves` from the initial state, taking each move only where
-// Successors offers it, so a replay and the BFS share one definition of an
-// enabled move. Returns the invariant found at any point along the way
+// ForEachSuccessor offers it, so a replay and the BFS share one definition of
+// an enabled move. Returns the invariant found at any point along the way
 // (first hit wins, matching the BFS which checks every state), or nullopt if
 // the trace no longer violates / no longer applies.
 std::optional<Found> ReplayTrace(const SpecMachine& m, const std::vector<SpecMove>& moves,
                                  const SpecBounds& bounds) {
   SpecState s = m.Initial();
+  SpecState next;
+  SpecScratch scratch;
+  std::string bytes;
   std::optional<Found> hit = CheckStateInvariants(m, s);
   for (const SpecMove& mv : moves) {
     if (hit.has_value()) {
       return hit;
     }
-    std::vector<SpecSuccessor> next = m.Successors(s, bounds);
-    auto taken = std::find_if(next.begin(), next.end(),
-                              [&mv](const SpecSuccessor& n) { return n.move == mv; });
-    if (taken == next.end()) {
+    bool taken = false;
+    m.CanonicalInto(s, &bytes);
+    m.ForEachSuccessor(s, bytes, bounds, &scratch,
+                       [&](const SpecMove& move, const SpecState& successor, std::string_view) {
+                         taken = move == mv;
+                         if (taken) {
+                           next = successor;
+                         }
+                         return !taken;
+                       });
+    if (!taken) {
       return std::nullopt;
     }
-    s = std::move(taken->state);
+    std::swap(s, next);
     hit = CheckStateInvariants(m, s);
   }
   return hit;
@@ -310,6 +321,109 @@ std::string BuildReplayRecipe(const SpecMachine& m, const std::vector<SpecMove>&
   return recipe;
 }
 
+// A visited state: its BFS parent, and the ordinal of the move that reached
+// it among the parent's successors in ForEachSuccessor's order.
+struct Node {
+  int parent = -1;
+  uint32_t ordinal = 0;
+};
+
+// The moves from the initial state to `nodes[idx]`, recovered by replaying
+// each ordinal through ForEachSuccessor.
+std::vector<SpecMove> MovesTo(const SpecMachine& m, const SpecBounds& bounds,
+                              const std::vector<Node>& nodes, int idx) {
+  std::vector<uint32_t> ordinals;
+  for (int at = idx; at > 0; at = nodes[static_cast<size_t>(at)].parent) {
+    ordinals.push_back(nodes[static_cast<size_t>(at)].ordinal);
+  }
+  std::vector<SpecMove> moves;
+  SpecState s = m.Initial();
+  SpecState next;
+  SpecScratch scratch;
+  std::string bytes;
+  for (auto ordinal = ordinals.rbegin(); ordinal != ordinals.rend(); ++ordinal) {
+    uint32_t skip = *ordinal;
+    m.CanonicalInto(s, &bytes);
+    m.ForEachSuccessor(s, bytes, bounds, &scratch,
+                       [&](const SpecMove& move, const SpecState& successor, std::string_view) {
+                         if (skip-- > 0) {
+                           return true;
+                         }
+                         moves.push_back(move);
+                         next = successor;
+                         return false;
+                       });
+    std::swap(s, next);
+  }
+  return moves;
+}
+
+// States the workers expand between two merges.
+constexpr size_t kChunkStates = 2048;
+
+// One BFS level in discovery order: each state's node id and canonical
+// bytes, the bytes back to back (state i's end at ends_[i]).
+class Level {
+ public:
+  size_t size() const { return nodes_.size(); }
+  int node(size_t i) const { return nodes_[i]; }
+  std::string_view bytes(size_t i) const {
+    const size_t begin = i == 0 ? 0 : ends_[i - 1];
+    return std::string_view(bytes_.data() + begin, ends_[i] - begin);
+  }
+  void Push(int node, std::string_view bytes) {
+    nodes_.push_back(node);
+    bytes_.append(bytes);
+    ends_.push_back(bytes_.size());
+  }
+  void Clear() {
+    nodes_.clear();
+    ends_.clear();
+    bytes_.clear();
+  }
+
+ private:
+  std::vector<int> nodes_;
+  std::vector<size_t> ends_;
+  std::string bytes_;
+};
+
+// One frontier state's expansion: a worker fills it, the merge reads it.
+// Each is reused chunk after chunk, so once its buffers have grown,
+// expanding a state allocates nothing. Aligned so that no two slots of the
+// chunk share a cache line.
+struct alignas(64) Expansion {
+  struct Next {
+    Fingerprint fingerprint;
+    size_t end = 0;  // Its canonical bytes end here in `bytes`.
+    bool violates = false;  // CheckStateInvariants found a violation.
+  };
+
+  void Expand(const SpecMachine& m, const CheckerOptions& options, std::string_view parent) {
+    m.Decode(parent, &state);
+    next.clear();
+    bytes.clear();
+    terminal.reset();
+    m.ForEachSuccessor(state, parent, options.bounds, &scratch,
+                       [&](const SpecMove&, const SpecState& successor,
+                           std::string_view successor_bytes) {
+                         bytes.append(successor_bytes);
+                         next.push_back(Next{FingerprintOf(successor_bytes), bytes.size(),
+                                             CheckStateInvariants(m, successor).has_value()});
+                         return true;
+                       });
+    if (next.empty() && options.check_termination) {
+      terminal = CheckTerminal(m, state, options.bounds);
+    }
+  }
+
+  SpecState state;  // The decoded parent.
+  SpecScratch scratch;
+  std::vector<Next> next;  // Kept moves, in ForEachSuccessor's order.
+  std::string bytes;       // Their successors' canonical bytes, back to back.
+  std::optional<Found> terminal;  // A state without successors failed termination.
+};
+
 }  // namespace
 
 std::string CheckResult::Summary() const {
@@ -328,31 +442,25 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
   CAMELOT_CHECK(machine.HighestRound(options.bounds) <= kSpecMaxRound);
   CheckResult res;
 
-  struct Node {
-    int parent = -1;
-    SpecMove via;
-  };
   std::vector<Node> nodes;
   FingerprintSet seen;
-  // The BFS frontier carries materialized states; visited interior states
-  // keep only their fingerprint + parent edge.
-  std::deque<std::pair<int, SpecState>> frontier;
+  // The frontier holds canonical bytes; visited interior states keep only
+  // their fingerprint and parent edge.
+  Level level;
+  Level next_level;
 
-  SpecState init = machine.Initial();
+  const SpecState init = machine.Initial();
   const std::string init_canon = machine.Canonical(init);
   seen.Insert(FingerprintOf(init_canon));
   nodes.push_back(Node{});
   res.digest = FnvMix(kFnvOffset, init_canon);
-  frontier.emplace_back(0, std::move(init));
+  level.Push(0, init_canon);
   res.states = 1;
 
   auto fail = [&](int idx, const Found& found) {
-    std::vector<SpecMove> moves;
-    for (int at = idx; at > 0; at = nodes[static_cast<size_t>(at)].parent) {
-      moves.push_back(nodes[static_cast<size_t>(at)].via);
-    }
-    std::reverse(moves.begin(), moves.end());
-    moves = MinimizeTrace(machine, std::move(moves), options.bounds, found.invariant);
+    std::vector<SpecMove> moves =
+        MinimizeTrace(machine, MovesTo(machine, options.bounds, nodes, idx), options.bounds,
+                      found.invariant);
     Violation v;
     v.invariant = found.invariant;
     v.detail = found.detail;
@@ -381,7 +489,7 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
   {
     // The initial state can only violate through a broken spec, but check it
     // anyway: mutations are allowed to be arbitrarily silly.
-    std::optional<Found> found = CheckStateInvariants(machine, frontier.front().second);
+    std::optional<Found> found = CheckStateInvariants(machine, init);
     if (found.has_value()) {
       fail(0, *found);
       res.complete = false;
@@ -389,40 +497,59 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
     }
   }
 
-  while (!frontier.empty()) {
-    auto [idx, state] = std::move(frontier.front());
-    frontier.pop_front();
-
-    std::vector<SpecSuccessor> successors = machine.Successors(state, options.bounds);
-    if (successors.empty() && options.check_termination) {
-      std::optional<Found> found = CheckTerminal(machine, state, options.bounds);
-      if (found.has_value()) {
-        fail(idx, *found);
-        return res;
+  // Level by level, in chunks: the workers expand a chunk's states into their
+  // own slots, then this thread merges the slots in frontier order, exactly
+  // as a serial BFS would meet them, so every counter, the digest and the
+  // first violation are the same at any thread count.
+  const int threads = DefaultSweepThreads();
+  std::vector<Expansion> chunk;
+  while (level.size() > 0) {
+    for (size_t begin = 0; begin < level.size(); begin += kChunkStates) {
+      const size_t count = std::min(kChunkStates, level.size() - begin);
+      if (chunk.size() < count) {
+        chunk.resize(count);
+      }
+      ParallelFor(threads, count, [&](size_t i) {
+        chunk[i].Expand(machine, options, level.bytes(begin + i));
+      });
+      for (size_t i = 0; i < count; ++i) {
+        const Expansion& x = chunk[i];
+        const int idx = level.node(begin + i);
+        if (x.terminal.has_value()) {
+          fail(idx, *x.terminal);
+          return res;
+        }
+        size_t start = 0;
+        for (uint32_t ordinal = 0; ordinal < x.next.size(); ++ordinal) {
+          const Expansion::Next& next = x.next[ordinal];
+          const std::string_view bytes(x.bytes.data() + start, next.end - start);
+          start = next.end;
+          res.transitions += 1;
+          if (!seen.Insert(next.fingerprint)) {
+            res.dedup_hits += 1;
+            continue;
+          }
+          const int nidx = static_cast<int>(nodes.size());
+          nodes.push_back(Node{idx, ordinal});
+          res.digest = FnvMix(res.digest, bytes);
+          res.states += 1;
+          if (next.violates) {
+            SpecState state;
+            machine.Decode(bytes, &state);
+            fail(nidx, *CheckStateInvariants(machine, state));
+            return res;
+          }
+          if (res.states >= options.max_states) {
+            res.ok = true;
+            res.complete = false;
+            return res;
+          }
+          next_level.Push(nidx, bytes);
+        }
       }
     }
-    for (SpecSuccessor& next : successors) {
-      res.transitions += 1;
-      if (!seen.Insert(FingerprintOf(next.canonical))) {
-        res.dedup_hits += 1;
-        continue;
-      }
-      const int nidx = static_cast<int>(nodes.size());
-      nodes.push_back(Node{idx, next.move});
-      res.digest = FnvMix(res.digest, next.canonical);
-      res.states += 1;
-      std::optional<Found> found = CheckStateInvariants(machine, next.state);
-      if (found.has_value()) {
-        fail(nidx, *found);
-        return res;
-      }
-      if (res.states >= options.max_states) {
-        res.ok = true;
-        res.complete = false;
-        return res;
-      }
-      frontier.emplace_back(nidx, std::move(next.state));
-    }
+    std::swap(level, next_level);
+    next_level.Clear();
   }
 
   res.ok = true;

@@ -61,7 +61,9 @@ struct CheckResult {
   std::string Summary() const;
 };
 
-// Requires machine.HighestRound(options.bounds) <= kSpecMaxRound.
+// Requires machine.HighestRound(options.bounds) <= kSpecMaxRound. Expands
+// the frontier on DefaultSweepThreads() threads (CAMELOT_SWEEP_THREADS) and
+// merges in frontier order, so the result is the same at any thread count.
 CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options);
 
 // One seeded spec weakening for the kill suite: the scenario + knobs define a

@@ -138,11 +138,13 @@ bool SpecState::HasMsg(const SpecMsg& m) const {
   return it != net.end() && *it == m;
 }
 
-void SpecState::AddMsg(const SpecMsg& m) {
+bool SpecState::AddMsg(const SpecMsg& m) {
   auto it = std::lower_bound(net.begin(), net.end(), m);
-  if (it == net.end() || !(*it == m)) {
-    net.insert(it, m);
+  if (it != net.end() && *it == m) {
+    return false;
   }
+  net.insert(it, m);
+  return true;
 }
 
 void SpecState::EraseMsg(const SpecMsg& m) {
@@ -187,10 +189,9 @@ void SpecCtx::Send(const char* role, int to, SpecMsg msg) {
   }
   msg.from = static_cast<uint8_t>(self_);
   msg.to = static_cast<uint8_t>(to);
-  if (s_->HasMsg(msg)) {
+  if (!s_->AddMsg(msg)) {
     return;  // Send-once: the runtime's fault-free path never re-sends either.
   }
-  s_->AddMsg(msg);
   if (eff_ == nullptr) {
     return;
   }
@@ -250,6 +251,7 @@ SpecMachine::SpecMachine(const SpecScenario& scenario, const SpecKnobs& knobs)
     commit_quorum_ = n / 2 + 1 + knobs_.replication_quorum_delta;
     read_quorum_ = n / 2 + 1;
   }
+  BuildTargets();
   BuildSharedRules();
   switch (scenario_.options.protocol) {
     case CommitProtocol::kTwoPhase:
@@ -263,6 +265,12 @@ SpecMachine::SpecMachine(const SpecScenario& scenario, const SpecKnobs& knobs)
       BuildPaxosRules();
       BuildTakeoverRules(/*paxos=*/true);
       break;
+  }
+  // EnabledMoves visits only the rules a proc or a message can fire.
+  for (int r = 0; r < static_cast<int>(rules_.size()); ++r) {
+    const std::optional<SpecMsgType>& trigger = rules_[static_cast<size_t>(r)].trigger;
+    (trigger.has_value() ? delivery_rules_[static_cast<size_t>(*trigger)] : internal_rules_)
+        .push_back(r);
   }
 }
 
@@ -288,33 +296,25 @@ ServerVote SpecMachine::CoordinatorVote() const {
   return scenario_.local_updates ? ServerVote::kUpdate : ServerVote::kReadOnly;
 }
 
-std::vector<int> SpecMachine::NotifyTargets() const {
-  std::vector<int> out;
+void SpecMachine::BuildTargets() {
   const int u = scenario_.update_subs;
   switch (scenario_.options.protocol) {
     case CommitProtocol::kTwoPhase:
-      for (int q = 1; q <= u; ++q) out.push_back(q);
+      for (int q = 1; q <= u; ++q) notify_targets_.push_back(q);
       break;
     case CommitProtocol::kNonBlocking:
-      for (int q = 1; q < n(); ++q) out.push_back(q);
+      for (int q = 1; q < n(); ++q) notify_targets_.push_back(q);
       break;
     case CommitProtocol::kPaxos:
-      for (int q = 1; q <= u; ++q) out.push_back(q);
+      for (int q = 1; q <= u; ++q) notify_targets_.push_back(q);
       // Read-only remote acceptors linger for their tombstone.
-      for (int q = u + 1; q < acceptors_ && q < n(); ++q) out.push_back(q);
+      for (int q = u + 1; q < acceptors_ && q < n(); ++q) notify_targets_.push_back(q);
       break;
   }
-  return out;
-}
-
-std::vector<int> SpecMachine::RepTargets() const {
-  const int u = scenario_.update_subs;
   const int majority = n() / 2 + 1;  // Widening uses the true majority, not the
                                      // (possibly mutated) commit threshold.
-  std::vector<int> out;
   const int last = (u + 1 >= majority) ? u : scenario_.subs();
-  for (int q = 1; q <= last; ++q) out.push_back(q);
-  return out;
+  for (int q = 1; q <= last; ++q) rep_targets_.push_back(q);
 }
 
 uint16_t SpecMachine::UpdateSubMask() const {
@@ -1012,17 +1012,9 @@ void SpecMachine::BuildPaxosRules() {
 }
 
 void SpecMachine::BuildTakeoverRules(bool paxos) {
-  // Takeover read set: Paxos reads the acceptor registrar, NBC reads everyone.
-  auto read_set = [paxos](const SpecMachine& m, int self) {
-    std::vector<int> out;
-    const int limit = paxos ? m.acceptor_count() : m.n();
-    for (int q = 0; q < limit; ++q) {
-      if (q != self) {
-        out.push_back(q);
-      }
-    }
-    return out;
-  };
+  // Takeover read set: Paxos reads the acceptor registrar, NBC reads everyone
+  // (procs below the limit; Send drops the leader's send to itself).
+  const int read_limit = paxos ? acceptors_ : n();
 
   // A timed-out participant promotes itself: new ballot, durable self-promise
   // (also how the round counter survives its own crash), read round.
@@ -1087,10 +1079,10 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
       [](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
         return P(s, self).phase == SpecPhase::kGather && !P(s, self).fanout_sent;
       },
-      [read_set](SpecCtx& ctx, const SpecMsg*) {
+      [read_limit](SpecCtx& ctx, const SpecMsg*) {
         SpecMsg req = Mk(SpecMsgType::kStatusReq);
         req.epoch = ctx.me().lead_epoch;
-        for (int q : read_set(ctx.machine(), ctx.self())) {
+        for (int q = 0; q < read_limit; ++q) {
           ctx.Send("takeover", q, req);
         }
         ctx.me().fanout_sent = true;
@@ -1209,12 +1201,12 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
       [](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
         return P(s, self).phase == SpecPhase::kTakeRepWait && !P(s, self).fanout_sent;
       },
-      [read_set](SpecCtx& ctx, const SpecMsg*) {
+      [read_limit](SpecCtx& ctx, const SpecMsg*) {
         SpecProc& p = ctx.me();
         SpecMsg m = Mk(SpecMsgType::kReplicate);
         m.epoch = p.lead_epoch;
         m.value = static_cast<uint8_t>(p.accepted_value);
-        for (int q : read_set(ctx.machine(), ctx.self())) {
+        for (int q = 0; q < read_limit; ++q) {
           ctx.Send("takeover", q, m);
         }
         p.fanout_sent = true;
@@ -1369,18 +1361,9 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
 
 // --- Move enumeration and application ----------------------------------------
 
-std::vector<SpecSuccessor> SpecMachine::Successors(const SpecState& s,
-                                                  const SpecBounds& bounds) const {
-  std::vector<SpecSuccessor> out;
-  const std::string base = Canonical(s);
-  auto consider = [&](const SpecMove& mv) {
-    SpecState next = Apply(s, mv, nullptr);
-    std::string canonical = Canonical(next);
-    if (canonical != base) {
-      out.push_back({mv, std::move(next), std::move(canonical)});
-    }
-  };
-
+void SpecMachine::EnabledMoves(const SpecState& s, const SpecBounds& bounds,
+                               std::vector<SpecMove>* out) const {
+  out->clear();
   int total_takeovers = 0;
   for (const SpecProc& pr : s.procs) {
     total_takeovers += pr.takeover_rounds;
@@ -1391,11 +1374,8 @@ std::vector<SpecSuccessor> SpecMachine::Successors(const SpecState& s,
     if (s.procs[static_cast<size_t>(p)].crashed) {
       continue;
     }
-    for (int r = 0; r < static_cast<int>(rules_.size()); ++r) {
+    for (const int r : internal_rules_) {
       const SpecRule& rule = rules_[static_cast<size_t>(r)];
-      if (rule.trigger.has_value()) {
-        continue;
-      }
       if (rule.takeover_start &&
           (s.procs[static_cast<size_t>(p)].takeover_rounds >= bounds.max_takeover_rounds ||
            total_takeovers >= bounds.max_total_takeovers)) {
@@ -1406,30 +1386,27 @@ std::vector<SpecSuccessor> SpecMachine::Successors(const SpecState& s,
         mv.kind = SpecMove::Kind::kRule;
         mv.proc = p;
         mv.rule = r;
-        consider(mv);
+        out->push_back(mv);
       }
     }
   }
 
   // Deliveries: every (message, matching rule) pair. The message stays in the
-  // set, so re-deliveries that change nothing are filtered out here.
+  // set, so ForEachSuccessor filters out re-deliveries that change nothing.
   for (const SpecMsg& m : s.net) {
     const int to = m.to;
     if (to >= n() || s.procs[static_cast<size_t>(to)].crashed) {
       continue;
     }
-    for (int r = 0; r < static_cast<int>(rules_.size()); ++r) {
+    for (const int r : delivery_rules_[static_cast<size_t>(m.type)]) {
       const SpecRule& rule = rules_[static_cast<size_t>(r)];
-      if (!rule.trigger.has_value() || *rule.trigger != m.type) {
-        continue;
-      }
       if (rule.guard(*this, s, to, &m)) {
         SpecMove mv;
         mv.kind = SpecMove::Kind::kDeliver;
         mv.proc = to;
         mv.rule = r;
         mv.msg = m;
-        consider(mv);
+        out->push_back(mv);
       }
     }
   }
@@ -1444,7 +1421,7 @@ std::vector<SpecSuccessor> SpecMachine::Successors(const SpecState& s,
         SpecMove mv;
         mv.kind = SpecMove::Kind::kCrash;
         mv.proc = p;
-        consider(mv);
+        out->push_back(mv);
       }
     }
   }
@@ -1453,7 +1430,7 @@ std::vector<SpecSuccessor> SpecMachine::Successors(const SpecState& s,
       SpecMove mv;
       mv.kind = SpecMove::Kind::kRecover;
       mv.proc = p;
-      consider(mv);
+      out->push_back(mv);
     }
   }
   if (s.losses_used < bounds.max_losses) {
@@ -1461,7 +1438,7 @@ std::vector<SpecSuccessor> SpecMachine::Successors(const SpecState& s,
       SpecMove mv;
       mv.kind = SpecMove::Kind::kLose;
       mv.msg = m;
-      consider(mv);
+      out->push_back(mv);
     }
   }
   if (s.no_votes_used < bounds.max_no_votes && scenario_.outcome == TxnOutcome::kCommit) {
@@ -1471,29 +1448,33 @@ std::vector<SpecSuccessor> SpecMachine::Successors(const SpecState& s,
         SpecMove mv;
         mv.kind = SpecMove::Kind::kNoVote;
         mv.proc = p;
-        consider(mv);
+        out->push_back(mv);
       }
     }
   }
-  return out;
 }
 
 SpecState SpecMachine::Apply(const SpecState& s, const SpecMove& move, SpecEffect* eff) const {
   SpecState next = s;
+  ApplyTo(&next, move, eff);
+  return next;
+}
+
+void SpecMachine::ApplyTo(SpecState* s, const SpecMove& move, SpecEffect* eff) const {
   switch (move.kind) {
     case SpecMove::Kind::kRule: {
-      SpecCtx ctx(*this, &next, move.proc, eff);
+      SpecCtx ctx(*this, s, move.proc, eff);
       rules_[static_cast<size_t>(move.rule)].apply(ctx, nullptr);
       break;
     }
     case SpecMove::Kind::kDeliver: {
-      SpecCtx ctx(*this, &next, move.proc, eff);
+      SpecCtx ctx(*this, s, move.proc, eff);
       SpecMsg m = move.msg;  // The rule sees a copy; the set keeps the original.
       rules_[static_cast<size_t>(move.rule)].apply(ctx, &m);
       break;
     }
     case SpecMove::Kind::kCrash: {
-      SpecProc& p = next.procs[static_cast<size_t>(move.proc)];
+      SpecProc& p = s->procs[static_cast<size_t>(move.proc)];
       p.crashed = true;
       p.log.resize(p.durable_len);
       // Volatile state evaporates; normalized to fixed values so states that
@@ -1519,24 +1500,24 @@ SpecState SpecMachine::Apply(const SpecState& s, const SpecMove& move, SpecEffec
       p.best_has = false;
       p.best_epoch = 0;
       p.best_value = SpecDecision::kNone;
-      next.crashes_used += 1;
+      s->crashes_used += 1;
       if (eff != nullptr) {
         eff->notes.push_back("p" + std::to_string(move.proc) + " crashes");
       }
       break;
     }
     case SpecMove::Kind::kRecover:
-      Recover(&next, move.proc, eff);
+      Recover(s, move.proc, eff);
       break;
     case SpecMove::Kind::kLose:
-      next.EraseMsg(move.msg);
-      next.losses_used += 1;
+      s->EraseMsg(move.msg);
+      s->losses_used += 1;
       if (eff != nullptr) {
         eff->notes.push_back("lose " + move.msg.Describe());
       }
       break;
     case SpecMove::Kind::kNoVote: {
-      SpecCtx ctx(*this, &next, move.proc, eff);
+      SpecCtx ctx(*this, s, move.proc, eff);
       SpecMsg v = Mk(SpecMsgType::kVote);
       v.vote = 0;
       if (scenario_.options.protocol == CommitProtocol::kPaxos) {
@@ -1550,11 +1531,10 @@ SpecState SpecMachine::Apply(const SpecState& s, const SpecMove& move, SpecEffec
       ctx.Decide(SpecDecision::kAbort);
       ctx.DropLocks();
       ctx.Retire();
-      next.no_votes_used += 1;
+      s->no_votes_used += 1;
       break;
     }
   }
-  return next;
 }
 
 std::string SpecMachine::MoveLabel(const SpecMove& move) const {
@@ -1596,16 +1576,29 @@ void PutU16(char** out, uint16_t v) {
   PutU8(out, v >> 8);
 }
 
+uint8_t GetU8(const char** in) { return static_cast<uint8_t>(*(*in)++); }
+
+uint16_t GetU16(const char** in) {
+  const uint16_t lo = GetU8(in);
+  return static_cast<uint16_t>(lo | GetU8(in) << 8);
+}
+
 }  // namespace
 
 std::string SpecMachine::Canonical(const SpecState& s) const {
+  std::string bytes;
+  CanonicalInto(s, &bytes);
+  return bytes;
+}
+
+void SpecMachine::CanonicalInto(const SpecState& s, std::string* bytes) const {
   size_t size = kCanonHeaderBytes + static_cast<size_t>(n()) + sizeof(uint16_t) +
                 kCanonMsgBytes * s.net.size();
   for (const SpecProc& p : s.procs) {
     size += kCanonProcBytes + kCanonLogRecBytes * p.log.size();
   }
-  std::string bytes(size, '\0');
-  char* out = bytes.data();
+  bytes->resize(size);
+  char* out = bytes->data();
   PutU8(&out, s.crashes_used);
   PutU8(&out, s.losses_used);
   PutU8(&out, s.no_votes_used);
@@ -1652,8 +1645,64 @@ std::string SpecMachine::Canonical(const SpecState& s) const {
     PutU8(&out, m.value);
     PutU8(&out, m.accepted);
   }
-  CAMELOT_CHECK(out == bytes.data() + bytes.size());
-  return bytes;
+  CAMELOT_CHECK(out == bytes->data() + bytes->size());
+}
+
+void SpecMachine::Decode(std::string_view bytes, SpecState* s) const {
+  const char* in = bytes.data();
+  s->crashes_used = GetU8(&in);
+  s->losses_used = GetU8(&in);
+  s->no_votes_used = GetU8(&in);
+  s->stability_broken = GetU8(&in) != 0;
+  s->stability_proc = GetU8(&in);
+  s->observed.fill(SpecDecision::kNone);
+  for (int p = 0; p < n(); ++p) {
+    s->observed[static_cast<size_t>(p)] = DecisionOf(GetU8(&in));
+  }
+  s->procs.resize(static_cast<size_t>(n()));
+  for (SpecProc& p : s->procs) {
+    const uint8_t flags = GetU8(&in);
+    p.crashed = (flags & 1) != 0;
+    p.locks = (flags & 2) != 0;
+    p.has_accepted = (flags & 4) != 0;
+    p.fanout_sent = (flags & 8) != 0;
+    p.saw_decision = (flags & 16) != 0;
+    p.best_has = (flags & 32) != 0;
+    p.phase = static_cast<SpecPhase>(GetU8(&in));
+    p.decided = DecisionOf(GetU8(&in));
+    p.promised = GetU8(&in);
+    p.accepted_epoch = GetU8(&in);
+    p.accepted_value = DecisionOf(GetU8(&in));
+    p.voted_mask = GetU16(&in);
+    p.no_mask = GetU16(&in);
+    p.acks = GetU16(&in);
+    p.rep_acks = GetU16(&in);
+    p.promises = GetU16(&in);
+    p.lead_epoch = GetU8(&in);
+    p.takeover_rounds = GetU8(&in);
+    p.notifier = GetU8(&in);
+    p.seen_decision = DecisionOf(GetU8(&in));
+    p.best_epoch = GetU8(&in);
+    p.best_value = DecisionOf(GetU8(&in));
+    p.durable_len = GetU8(&in);
+    p.log.resize(GetU8(&in));
+    for (SpecLogRec& r : p.log) {
+      r.kind = static_cast<SpecLogKind>(GetU8(&in));
+      r.epoch = GetU8(&in);
+      r.value = DecisionOf(GetU8(&in));
+    }
+  }
+  s->net.resize(GetU16(&in));
+  for (SpecMsg& m : s->net) {
+    m.from = GetU8(&in);
+    m.to = GetU8(&in);
+    m.type = static_cast<SpecMsgType>(GetU8(&in));
+    m.vote = GetU8(&in);
+    m.epoch = GetU8(&in);
+    m.value = GetU8(&in);
+    m.accepted = GetU8(&in);
+  }
+  CAMELOT_CHECK(in == bytes.data() + bytes.size());
 }
 
 std::string SpecMachine::DumpState(const SpecState& s) const {
@@ -1881,69 +1930,45 @@ SpecMachine::FoldResult SpecMachine::FoldFaultFree(int max_steps) const {
     }
   };
 
-  auto try_apply = [&](const SpecMove& mv) -> bool {
-    SpecEffect eff;
-    SpecState next = Apply(s, mv, &eff);
-    if (Canonical(next) == Canonical(s)) {
-      return false;
+  // No fault budget: the only moves are rule firings and deliveries.
+  SpecBounds fault_free;
+  fault_free.max_takeover_rounds = 0;
+  SpecScratch scratch;
+  std::string bytes;
+  for (; res.steps < max_steps; ++res.steps) {
+    // The first enabled non-fault internal rule (proc-major), else the
+    // delivery of the earliest-sent message, its rules in order.
+    std::optional<SpecMove> pick;
+    size_t pick_sent = fifo.size();
+    CanonicalInto(s, &bytes);
+    ForEachSuccessor(s, bytes, fault_free, &scratch,
+                     [&](const SpecMove& mv, const SpecState&, std::string_view) {
+                       if (rules_[static_cast<size_t>(mv.rule)].fault_only) {
+                         return true;
+                       }
+                       if (mv.kind == SpecMove::Kind::kRule) {
+                         pick = mv;
+                         return false;
+                       }
+                       const size_t sent = static_cast<size_t>(
+                           std::find(fifo.begin(), fifo.end(), mv.msg) - fifo.begin());
+                       if (sent < pick_sent) {
+                         pick = mv;
+                         pick_sent = sent;
+                       }
+                       return true;
+                     });
+    if (!pick.has_value()) {
+      break;  // Quiescent.
     }
+    SpecEffect eff;
+    SpecState next = Apply(s, *pick, &eff);
     for (const auto& kv : eff.counts) {
       res.counts[kv.first] += kv.second;
     }
-    res.detail += MoveLabel(mv) + "\n";
+    res.detail += MoveLabel(*pick) + "\n";
     absorb_new_msgs(s, next);
     s = std::move(next);
-    res.steps += 1;
-    return true;
-  };
-
-  for (; res.steps < max_steps;) {
-    bool progressed = false;
-    // Internal (non-fault) rules first, proc-major.
-    for (int p = 0; p < n() && !progressed; ++p) {
-      for (int r = 0; r < static_cast<int>(rules_.size()) && !progressed; ++r) {
-        const SpecRule& rule = rules_[static_cast<size_t>(r)];
-        if (rule.trigger.has_value() || rule.fault_only) {
-          continue;
-        }
-        if (!rule.guard(*this, s, p, nullptr)) {
-          continue;
-        }
-        SpecMove mv;
-        mv.kind = SpecMove::Kind::kRule;
-        mv.proc = p;
-        mv.rule = r;
-        progressed = try_apply(mv);
-      }
-    }
-    if (progressed) {
-      continue;
-    }
-    // Then deliveries, in global send order.
-    for (size_t i = 0; i < fifo.size() && !progressed; ++i) {
-      const SpecMsg& m = fifo[i];
-      if (!s.HasMsg(m)) {
-        continue;
-      }
-      for (int r = 0; r < static_cast<int>(rules_.size()) && !progressed; ++r) {
-        const SpecRule& rule = rules_[static_cast<size_t>(r)];
-        if (!rule.trigger.has_value() || *rule.trigger != m.type || rule.fault_only) {
-          continue;
-        }
-        if (!rule.guard(*this, s, m.to, &m)) {
-          continue;
-        }
-        SpecMove mv;
-        mv.kind = SpecMove::Kind::kDeliver;
-        mv.proc = m.to;
-        mv.rule = r;
-        mv.msg = m;
-        progressed = try_apply(mv);
-      }
-    }
-    if (!progressed) {
-      break;  // Quiescent.
-    }
   }
 
   res.complete = res.steps < max_steps && !s.stability_broken;

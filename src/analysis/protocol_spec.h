@@ -25,7 +25,7 @@
 // (CoordinatorStart, CoordinatorVoteRecord, AbortOnNoVote and
 // VoteTimeoutAbort in protocol_spec.cc) with the rules only it has, so a new
 // variant writes only what it does differently. Rule names and each
-// variant's rule order are part of the explored state space: Successors
+// variant's rule order are part of the explored state space: ForEachSuccessor
 // enumerates moves rule by rule, and the checker's digests and violation
 // reports pin both.
 //
@@ -43,6 +43,8 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/static_analysis.h"  // TxnOutcome.
@@ -118,6 +120,7 @@ enum class SpecMsgType : uint8_t {
   kStatusResp,
   kPaxosAccepted,
 };
+inline constexpr size_t kSpecMsgTypes = static_cast<size_t>(SpecMsgType::kPaxosAccepted) + 1;
 const char* SpecMsgTypeName(SpecMsgType t);
 
 struct SpecMsg {
@@ -213,7 +216,7 @@ struct SpecState {
   uint8_t stability_proc = 0;
 
   bool HasMsg(const SpecMsg& m) const;
-  void AddMsg(const SpecMsg& m);   // Set-insert (idempotent).
+  bool AddMsg(const SpecMsg& m);   // Set-insert; false when already present.
   void EraseMsg(const SpecMsg& m);
 };
 
@@ -278,8 +281,8 @@ class SpecCtx {
 struct SpecRule {
   std::string name;
   bool fault_only = false;
-  // Consumes one per-process takeover round; Successors gates it against
-  // SpecBounds::max_takeover_rounds.
+  // Consumes one per-process takeover round; ForEachSuccessor gates it
+  // against SpecBounds::max_takeover_rounds.
   bool takeover_start = false;
   std::optional<SpecMsgType> trigger;
   std::function<bool(const SpecMachine&, const SpecState&, int self, const SpecMsg* msg)> guard;
@@ -300,12 +303,14 @@ struct SpecMove {
   friend bool operator==(const SpecMove&, const SpecMove&) = default;
 };
 
-// One move Successors keeps, with the state it leads to and that state's
-// canonical bytes, so a caller neither re-applies nor re-encodes it.
-struct SpecSuccessor {
-  SpecMove move;
+// Working storage for ForEachSuccessor. Each candidate move is applied to
+// `state` in place and encoded into `bytes`, so once the buffers have grown
+// to the largest state seen, enumerating moves allocates nothing. A thread
+// needs its own.
+struct SpecScratch {
+  std::vector<SpecMove> moves;
   SpecState state;
-  std::string canonical;
+  std::string bytes;
 };
 
 // Encoding limits. The vote and ack masks are 16 bits wide and `observed`
@@ -343,10 +348,10 @@ class SpecMachine {
   ServerVote CoordinatorVote() const;
   // Fault-free notify fan-out / ack set: 2PC update subs, NBC every sub,
   // Paxos update subs plus read-only remote acceptors.
-  std::vector<int> NotifyTargets() const;
+  const std::vector<int>& NotifyTargets() const { return notify_targets_; }
   // NBC replication targets (update subs, widened to all subs when the update
   // sites plus the coordinator cannot form the majority).
-  std::vector<int> RepTargets() const;
+  const std::vector<int>& RepTargets() const { return rep_targets_; }
   uint16_t UpdateSubMask() const;
   uint16_t AcceptorMask() const;  // All-procs mask outside Paxos.
   uint16_t AllVoteMask() const { return static_cast<uint16_t>((1u << n()) - 1); }
@@ -360,14 +365,33 @@ class SpecMachine {
 
   SpecState Initial() const;
 
-  // Every enabled move of `s` in deterministic order, each with its
-  // successor state and that state's canonical bytes. Moves whose
-  // application would not change the state are filtered out.
-  std::vector<SpecSuccessor> Successors(const SpecState& s, const SpecBounds& bounds) const;
+  // The one definition of an enabled move, which the checker's BFS, its
+  // trace replay and the fault-free fold all enumerate through. Calls
+  // visit(move, successor, successor_bytes) for every enabled move of `s`,
+  // in deterministic order, skipping each move whose successor encodes to
+  // `bytes`, the canonical bytes of `s` itself. The successor and its bytes
+  // live in `scratch` and are overwritten by the next move. A false return
+  // from `visit` ends the enumeration.
+  template <typename Visit>
+  void ForEachSuccessor(const SpecState& s, std::string_view bytes, const SpecBounds& bounds,
+                        SpecScratch* scratch, Visit&& visit) const {
+    EnabledMoves(s, bounds, &scratch->moves);
+    for (const SpecMove& move : scratch->moves) {
+      scratch->state = s;
+      ApplyTo(&scratch->state, move);
+      CanonicalInto(scratch->state, &scratch->bytes);
+      if (scratch->bytes != bytes &&
+          !visit(move, std::as_const(scratch->state), std::string_view(scratch->bytes))) {
+        return;
+      }
+    }
+  }
 
-  // Apply `move` to `s`. Returns the successor; `eff` (optional) receives
-  // counts / notes / force+send trails for traces and replay recipes. With
-  // no `eff` none of them is built.
+  // Apply `move` to `s` in place; `eff` (optional) receives counts / notes /
+  // force+send trails for traces and replay recipes. With no `eff` none of
+  // them is built.
+  void ApplyTo(SpecState* s, const SpecMove& move, SpecEffect* eff = nullptr) const;
+  // ApplyTo on a copy of `s`; returns the successor.
   SpecState Apply(const SpecState& s, const SpecMove& move, SpecEffect* eff = nullptr) const;
 
   std::string MoveLabel(const SpecMove& move) const;
@@ -376,6 +400,14 @@ class SpecMachine {
   // two states serialize equally only if they are equal. The checker dedups
   // by a 128-bit fingerprint of these bytes and digests the bytes themselves.
   std::string Canonical(const SpecState& s) const;
+  // Canonical into `*bytes`, reusing its capacity.
+  void CanonicalInto(const SpecState& s, std::string* bytes) const;
+  // Overwrites `s` with the state that `bytes`, written by Canonical,
+  // encode, reusing its capacity. It inverts Canonical: re-encoding gives
+  // `bytes` back, and the decoded state is the encoded one wherever
+  // Canonical tells states apart. The checker's frontier holds bytes and
+  // decodes each state when it expands it.
+  void Decode(std::string_view bytes, SpecState* s) const;
   std::string DumpState(const SpecState& s) const;
 
   // Crash-recovery: rebuild proc p's volatile state from its durable log.
@@ -395,6 +427,12 @@ class SpecMachine {
   FoldResult FoldFaultFree(int max_steps = 4096) const;
 
  private:
+  // Every move whose guard holds in `s` and that `bounds` allows, in
+  // ForEachSuccessor's order, into `out` (cleared first).
+  void EnabledMoves(const SpecState& s, const SpecBounds& bounds,
+                    std::vector<SpecMove>* out) const;
+
+  void BuildTargets();
   void BuildSharedRules();
   void BuildTwoPhaseRules();
   void BuildNonBlockingRules();
@@ -404,6 +442,11 @@ class SpecMachine {
   SpecScenario scenario_;
   SpecKnobs knobs_;
   std::vector<SpecRule> rules_;
+  std::vector<int> internal_rules_;  // Indices of rules without a trigger.
+  // Per message type, the indices of the rules it triggers.
+  std::array<std::vector<int>, kSpecMsgTypes> delivery_rules_;
+  std::vector<int> notify_targets_;
+  std::vector<int> rep_targets_;
   int acceptors_ = 0;
   int commit_quorum_ = 0;
   int read_quorum_ = 0;

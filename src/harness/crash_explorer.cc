@@ -10,9 +10,9 @@
 
 #include "src/analysis/static_analysis.h"
 #include "src/base/logging.h"
+#include "src/base/parallel.h"
 #include "src/harness/isolation_oracle.h"
 #include "src/harness/oracle.h"
-#include "src/harness/parallel.h"
 #include "src/harness/replay.h"
 
 namespace camelot {

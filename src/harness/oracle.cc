@@ -64,7 +64,7 @@ void AuditBalancesAndSubset(World& world, int site_count, int64_t initial_balanc
                           " (balances: " + detail + ")");
   }
   const size_t k = attempts.size();
-  if (k <= 20) {  // 2^k subsets; the explorer workloads are a handful.
+  if (k <= 20) {  // Up to 2^k subsets; the explorer workloads are a handful.
     uint32_t must = 0;
     uint32_t may = 0;
     for (size_t i = 0; i < k; ++i) {
@@ -75,19 +75,32 @@ void AuditBalancesAndSubset(World& world, int site_count, int64_t initial_balanc
         may |= 1u << i;  // Never-attempted transfers cannot have committed.
       }
     }
-    bool matched = false;
-    for (uint32_t mask = 0; mask < (1u << k) && !matched; ++mask) {
-      if ((mask & must) != must || (mask & ~may) != 0) {
-        continue;
-      }
-      std::vector<int64_t> d(static_cast<size_t>(n), 0);
-      for (size_t i = 0; i < k; ++i) {
+    const auto apply = [&attempts](uint32_t mask, std::vector<int64_t>* d) {
+      for (size_t i = 0; i < attempts.size(); ++i) {
         if (mask & (1u << i)) {
-          d[static_cast<size_t>(attempts[i].from_vault)] -= attempts[i].amount;
-          d[static_cast<size_t>(attempts[i].to_vault)] += attempts[i].amount;
+          (*d)[static_cast<size_t>(attempts[i].from_vault)] -= attempts[i].amount;
+          (*d)[static_cast<size_t>(attempts[i].to_vault)] += attempts[i].amount;
         }
       }
-      matched = (d == delta);
+    };
+    // A candidate subset holds every client-OK transfer and no
+    // never-attempted one, so an OK that was never attempted matches none;
+    // otherwise only the undetermined transfers (attempted, not OK) are
+    // enumerated, on top of the OK transfers' delta.
+    bool matched = false;
+    if ((must & ~may) == 0) {
+      std::vector<int64_t> base(static_cast<size_t>(n), 0);
+      apply(must, &base);
+      std::vector<int64_t> d(static_cast<size_t>(n), 0);
+      const uint32_t undetermined = may & ~must;
+      for (uint32_t sub = undetermined; !matched; sub = (sub - 1) & undetermined) {
+        d = base;
+        apply(sub, &d);
+        matched = (d == delta);
+        if (sub == 0) {
+          break;
+        }
+      }
     }
     if (!matched) {
       violations->push_back(

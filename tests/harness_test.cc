@@ -1,10 +1,13 @@
 // Tests for the harness itself: World wiring, Drive vs RunSync semantics,
-// StatsReport rendering, and stable-log persistence across processes.
+// StatsReport rendering, stable-log persistence across processes, and the
+// explorer's balance audit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "src/harness/oracle.h"
 #include "src/harness/world.h"
 
 namespace camelot {
@@ -208,6 +211,61 @@ TEST(WorldSnapshotTest, ColdBackupRestoresCommittedState) {
     std::remove((base + ".log").c_str());
     std::remove((base + ".data").c_str());
   }
+}
+
+// The balance audit's verdicts. Three vaults whose final balances are set
+// directly, and 20 transfers around the ring with distinct amounts (1..20),
+// so exactly one subset of them explains any balances built below.
+TEST(BalanceAuditTest, ExplainsBalancesBySubsetsHoldingEveryClientOk) {
+  static constexpr int kSites = 3;
+  static constexpr int kTransfers = 20;
+  static constexpr int64_t kInitial = 1000;
+  static constexpr int kUndetermined = 7;
+  const auto attempts = [](bool seven_ok, bool seven_attempted) {
+    std::vector<TransferAttempt> out(kTransfers);
+    for (int i = 0; i < kTransfers; ++i) {
+      TransferAttempt& t = out[static_cast<size_t>(i)];
+      t.status = OkStatus();
+      t.attempted = true;
+      t.from_vault = i % kSites;
+      t.to_vault = (i + 1) % kSites;
+      t.amount = i + 1;
+    }
+    if (!seven_ok) {
+      out[kUndetermined].status = TimedOutError("commit outcome unknown");
+    }
+    out[kUndetermined].attempted = seven_attempted;
+    return out;
+  };
+  // Audits balances that apply every transfer, or every one but transfer 7.
+  const auto audit = [](const std::vector<TransferAttempt>& tried, bool seven_applied) {
+    std::vector<int64_t> balance(kSites, kInitial);
+    for (int i = 0; i < kTransfers; ++i) {
+      if (i != kUndetermined || seven_applied) {
+        const TransferAttempt& t = tried[static_cast<size_t>(i)];
+        balance[static_cast<size_t>(t.from_vault)] -= t.amount;
+        balance[static_cast<size_t>(t.to_vault)] += t.amount;
+      }
+    }
+    World world(Quiet(kSites));
+    for (int i = 0; i < kSites; ++i) {
+      world.AddServer(i, "server:" + std::to_string(i))
+          ->CreateObjectForSetup("vault", EncodeInt64(balance[static_cast<size_t>(i)]));
+    }
+    std::vector<std::string> violations;
+    AuditBalancesAndSubset(world, kSites, kInitial, tried, &violations);
+    return violations;
+  };
+  // (a) Every transfer OK and applied.
+  EXPECT_TRUE(audit(attempts(true, true), true).empty());
+  // (b) An undetermined transfer may have committed...
+  EXPECT_TRUE(audit(attempts(false, true), true).empty());
+  // (c) ...or not.
+  EXPECT_TRUE(audit(attempts(false, true), false).empty());
+  // (d) A client-OK transfer missing from the balances is a lost commit.
+  EXPECT_FALSE(audit(attempts(true, true), false).empty());
+  // (e) A client OK for a transfer never attempted cannot be explained.
+  EXPECT_FALSE(audit(attempts(true, false), true).empty());
 }
 
 }  // namespace

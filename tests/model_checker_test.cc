@@ -1,13 +1,16 @@
 // Model-checker tests: three-source count agreement (spec fold vs the
 // hand-written static analysis; the runtime CostLedger side lives in
 // conformance_test.cc), exhaustive baseline safety over every commit variant,
-// state-hash determinism, counterexample minimization, and the seeded
-// spec-mutation kill suite.
+// state-hash determinism at any thread count, the frontier's byte encoding,
+// counterexample minimization, and the seeded spec-mutation kill suite.
 #include "src/analysis/model_checker.h"
 
+#include <cstdlib>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,8 +161,9 @@ TEST(ModelChecker, BaselineSafetyExhaustive) {
 // The canonical-state digest is a function of the reachable graph alone:
 // two runs of the same configuration agree bit-for-bit on digest and on
 // every exploration counter. (BFS discovery order is deterministic because
-// Successors is, and the fingerprint dedup is a pure function of the
-// canonical bytes; ModelCheckerDigest below pins the values themselves.)
+// ForEachSuccessor's order is and the merge follows frontier order, and the
+// fingerprint dedup is a pure function of the canonical bytes;
+// ModelCheckerDigest below pins the values themselves.)
 TEST(ModelChecker, StateDigestDeterministicAcrossRuns) {
   for (const SafetyCase& c : QuickSafetyCases()) {
     CheckerOptions opt;
@@ -215,24 +219,50 @@ TEST(ModelCheckerDigest, QuickSafetyCasesExplorePinnedSpaces) {
   }
 }
 
-TEST(ModelCheckerDigest, BenchmarkSpaceExploresPinnedSpace) {
+SpecScenario BenchmarkScenario() {
   SpecScenario sc;
   sc.options = CommitOptions::NonBlocking();
   sc.update_subs = 1;
   sc.readonly_subs = 1;
+  return sc;
+}
+
+CheckerOptions BenchmarkOptions() {
   CheckerOptions opt;
   opt.bounds.max_takeover_rounds = 1;
   opt.bounds.max_total_takeovers = 1;
   opt.max_states = 2000000;
   opt.check_termination = true;
-  ExpectPinned("modelcheck_nbc", CheckSpec(SpecMachine(sc), opt),
+  return opt;
+}
+
+TEST(ModelCheckerDigest, BenchmarkSpaceExploresPinnedSpace) {
+  ExpectPinned("modelcheck_nbc", CheckSpec(SpecMachine(BenchmarkScenario()), BenchmarkOptions()),
                {204350, 556545, 352196, 0x7f7074d19840f9ccULL});
 }
 
-// One FNV-1a hash per seeded mutation over everything its violation renders:
-// invariant, detail, trace (move labels with their effect notes), state dump
-// and replay recipe. It guards the effect bookkeeping that only these
-// reports read.
+// FNV-1a over everything a violation renders: invariant, detail, trace (move
+// labels with their effect notes), state dump and replay recipe.
+uint64_t ReportHash(const Violation& v) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const std::string& text) {
+    for (const unsigned char c : text) {
+      h = (h ^ c) * 0x100000001b3ULL;
+    }
+    h = (h ^ '\n') * 0x100000001b3ULL;
+  };
+  mix(v.invariant);
+  mix(v.detail);
+  for (const std::string& line : v.trace) {
+    mix(line);
+  }
+  mix(v.state_dump);
+  mix(v.replay);
+  return h;
+}
+
+// One report hash per seeded mutation. It guards the effect bookkeeping that
+// only these reports read.
 TEST(ModelCheckerDigest, SeededMutationReportsMatchPinnedHashes) {
   const std::map<std::string, uint64_t> pins = {
       {"2pc-drop-coordinator-commit-force", 0x891fd4fc40236163ULL},
@@ -256,24 +286,112 @@ TEST(ModelCheckerDigest, SeededMutationReportsMatchPinnedHashes) {
     opt.max_states = 2000000;
     const CheckResult res = CheckSpec(SpecMachine(m.scenario, m.knobs), opt);
     ASSERT_TRUE(res.violation.has_value()) << m.name;
-    uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](const std::string& text) {
-      for (const unsigned char c : text) {
-        h = (h ^ c) * 0x100000001b3ULL;
-      }
-      h = (h ^ '\n') * 0x100000001b3ULL;
-    };
-    const Violation& v = *res.violation;
-    mix(v.invariant);
-    mix(v.detail);
-    for (const std::string& line : v.trace) {
-      mix(line);
-    }
-    mix(v.state_dump);
-    mix(v.replay);
+    const uint64_t h = ReportHash(*res.violation);
     const auto pin = pins.find(m.name);
     EXPECT_TRUE(pin != pins.end() && pin->second == h)
         << m.name << " renders a different violation (hash 0x" << std::hex << h << ")";
+  }
+}
+
+// Sets CAMELOT_SWEEP_THREADS for the life of the object, then restores it.
+class SweepThreads {
+ public:
+  explicit SweepThreads(const char* threads) {
+    if (const char* old = std::getenv(kName); old != nullptr) {
+      saved_ = old;
+    }
+    setenv(kName, threads, 1);
+  }
+  ~SweepThreads() {
+    if (saved_.has_value()) {
+      setenv(kName, saved_->c_str(), 1);
+    } else {
+      unsetenv(kName);
+    }
+  }
+  SweepThreads(const SweepThreads&) = delete;
+  SweepThreads& operator=(const SweepThreads&) = delete;
+
+ private:
+  static constexpr const char* kName = "CAMELOT_SWEEP_THREADS";
+  std::optional<std::string> saved_;
+};
+
+// CheckSpec expands each frontier chunk on CAMELOT_SWEEP_THREADS threads and
+// merges the chunk in frontier order, so one thread and four explore the
+// same states in the same order: the pinned spaces, and a seeded mutation
+// whose violation lands mid-level after some 50k states, report identical
+// summaries and identical violation reports.
+TEST(ModelCheckerDigest, ExplorationIsTheSameAtOneAndFourThreads) {
+  const std::vector<SafetyCase> cases = QuickSafetyCases();
+  const SeededMutation* mutation = nullptr;
+  const std::vector<SeededMutation> mutations = SeededSpecMutations();
+  for (const SeededMutation& m : mutations) {
+    if (m.name == "nbc-weaken-replication-quorum") {
+      mutation = &m;
+    }
+  }
+  ASSERT_NE(mutation, nullptr);
+  const auto explore = [&](const char* threads) {
+    const SweepThreads set(threads);
+    std::vector<std::string> out;
+    for (const SafetyCase& c : cases) {
+      CheckerOptions opt;
+      opt.bounds = c.bounds;
+      opt.check_termination = c.termination;
+      out.push_back(CheckSpec(SpecMachine(ScenarioFor(c)), opt).Summary());
+    }
+    out.push_back(CheckSpec(SpecMachine(BenchmarkScenario()), BenchmarkOptions()).Summary());
+    CheckerOptions opt;
+    opt.bounds = mutation->bounds;
+    opt.max_states = 2000000;
+    const CheckResult res = CheckSpec(SpecMachine(mutation->scenario, mutation->knobs), opt);
+    out.push_back(res.Summary());
+    out.push_back(res.violation.has_value() ? std::to_string(ReportHash(*res.violation)) : "");
+    return out;
+  };
+  const std::vector<std::string> one = explore("1");
+  const std::vector<std::string> four = explore("4");
+  EXPECT_EQ(one, four);
+  EXPECT_EQ(one.size(), cases.size() + 3);
+  EXPECT_NE(one.back(), "");
+}
+
+// The frontier holds canonical bytes and expands Decode(bytes), so Decode
+// must invert Canonical on every reachable state: a 2PC space with a crash,
+// a loss and a no vote, and an NBC space with a crash and a takeover.
+TEST(ModelCheckerDigest, DecodeInvertsCanonicalOnEveryReachableState) {
+  const std::vector<SafetyCase> cases = QuickSafetyCases();
+  for (const char* label : {"2pc-full-faults", "nbc-crash-takeover"}) {
+    const SafetyCase* c = nullptr;
+    for (const SafetyCase& sc : cases) {
+      if (std::string(sc.label) == label) {
+        c = &sc;
+      }
+    }
+    ASSERT_NE(c, nullptr) << label;
+    const SpecMachine m(ScenarioFor(*c));
+    std::vector<std::string> frontier = {m.Canonical(m.Initial())};
+    std::unordered_set<std::string> seen(frontier.begin(), frontier.end());
+    SpecScratch scratch;
+    SpecState decoded;
+    size_t mismatches = 0;
+    while (!frontier.empty()) {
+      const std::string bytes = std::move(frontier.back());
+      frontier.pop_back();
+      m.Decode(bytes, &decoded);
+      mismatches += m.Canonical(decoded) == bytes ? 0 : 1;
+      m.ForEachSuccessor(decoded, bytes, c->bounds, &scratch,
+                         [&](const SpecMove&, const SpecState&, std::string_view next) {
+                           if (seen.emplace(next).second) {
+                             frontier.emplace_back(next);
+                           }
+                           return true;
+                         });
+    }
+    EXPECT_EQ(mismatches, 0u) << label;
+    // Every state the checker explores (ModelCheckerDigest's pins).
+    EXPECT_EQ(seen.size(), std::string(label) == "2pc-full-faults" ? 6825u : 13656u) << label;
   }
 }
 

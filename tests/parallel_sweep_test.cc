@@ -15,8 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/parallel.h"
 #include "src/harness/crash_explorer.h"
-#include "src/harness/parallel.h"
 
 namespace camelot {
 namespace {
