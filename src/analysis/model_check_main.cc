@@ -222,6 +222,15 @@ int main(int argc, char** argv) {
                  highest_round);
     return 2;
   }
+  if (!machine.EpochsFitOneByte(opt.bounds)) {
+    std::fprintf(stderr,
+                 "the spec encodes epochs (16 * round + process) up to 254 (a status reply "
+                 "carries the accepted epoch + 1 in one byte); --takeovers=%d "
+                 "--total-takeovers=%d with %d processes can reach round %d, epoch %d\n",
+                 a.takeovers, a.total_takeovers, sc.procs(), highest_round,
+                 16 * highest_round + sc.procs() - 1);
+    return 2;
+  }
   std::printf("checking %s crashes=%d losses=%d novotes=%d takeovers=%d termination=%d\n",
               sc.Label().c_str(), a.crashes, a.losses, a.novotes, a.takeovers,
               a.termination ? 1 : 0);

@@ -1,11 +1,18 @@
 #include "src/analysis/model_checker.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <bitset>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <exception>
 #include <map>
+#include <mutex>
 #include <string_view>
+#include <thread>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -358,70 +365,274 @@ std::vector<SpecMove> MovesTo(const SpecMachine& m, const SpecBounds& bounds,
   return moves;
 }
 
-// States the workers expand between two merges.
+// The frontier is a FIFO queue of canonical bytes in blocks of kChunkStates
+// states. Up to kChunksInFlight blocks at a time are chunks handed to the
+// expanding threads, which claim kBatchStates states of a chunk at a time.
 constexpr size_t kChunkStates = 2048;
+constexpr size_t kBatchStates = 16;
+constexpr size_t kChunkBatches = kChunkStates / kBatchStates;
+constexpr size_t kChunksInFlight = 4;
 
-// One BFS level in discovery order: each state's node id and canonical
-// bytes, the bytes back to back (state i's end at ends_[i]).
-class Level {
- public:
-  size_t size() const { return nodes_.size(); }
-  int node(size_t i) const { return nodes_[i]; }
+// Up to kChunkStates consecutive frontier states: each one's node id and
+// canonical bytes, the bytes back to back (state i's end at ends[i]).
+struct Block {
+  size_t size() const { return nodes.size(); }
   std::string_view bytes(size_t i) const {
-    const size_t begin = i == 0 ? 0 : ends_[i - 1];
-    return std::string_view(bytes_.data() + begin, ends_[i] - begin);
+    const uint32_t begin = i == 0 ? 0 : ends[i - 1];
+    return std::string_view(data.data() + begin, ends[i] - begin);
   }
-  void Push(int node, std::string_view bytes) {
-    nodes_.push_back(node);
-    bytes_.append(bytes);
-    ends_.push_back(bytes_.size());
-  }
-  void Clear() {
-    nodes_.clear();
-    ends_.clear();
-    bytes_.clear();
+  void Push(int node, std::string_view state) {
+    nodes.push_back(node);
+    data.append(state);
+    ends.push_back(static_cast<uint32_t>(data.size()));
   }
 
- private:
-  std::vector<int> nodes_;
-  std::vector<size_t> ends_;
-  std::string bytes_;
+  std::vector<int> nodes;
+  std::vector<uint32_t> ends;
+  std::string data;
 };
 
-// One frontier state's expansion: a worker fills it, the merge reads it.
-// Each is reused chunk after chunk, so once its buffers have grown,
-// expanding a state allocates nothing. Aligned so that no two slots of the
-// chunk share a cache line.
-struct alignas(64) Expansion {
+// One thread's working storage, reused state after state: the decoded
+// parent and ForEachSuccessor's scratch.
+struct Expander {
+  SpecState state;
+  SpecScratch scratch;
+};
+
+// What expanding one batch produced: the thread that claimed the batch fills
+// it, the merge reads it. Reused chunk after chunk, so once its buffers have
+// grown, expanding allocates nothing. Aligned so that no two batches share a
+// cache line.
+struct alignas(64) Batch {
   struct Next {
     Fingerprint fingerprint;
-    size_t end = 0;  // Its canonical bytes end here in `bytes`.
+    uint32_t end = 0;       // Its canonical bytes end here in `bytes`.
     bool violates = false;  // CheckStateInvariants found a violation.
   };
 
-  void Expand(const SpecMachine& m, const CheckerOptions& options, std::string_view parent) {
-    m.Decode(parent, &state);
+  // Expands states [first, first + count) of `block`, stopping after the
+  // first one that fails the termination check: the merge ends there.
+  void Expand(const SpecMachine& m, const CheckerOptions& options, const Block& block,
+              size_t first, size_t count, Expander* x) {
+    nodes = block.nodes.data() + first;
     next.clear();
     bytes.clear();
+    ends.clear();
     terminal.reset();
-    m.ForEachSuccessor(state, parent, options.bounds, &scratch,
-                       [&](const SpecMove&, const SpecState& successor,
-                           std::string_view successor_bytes) {
-                         bytes.append(successor_bytes);
-                         next.push_back(Next{FingerprintOf(successor_bytes), bytes.size(),
-                                             CheckStateInvariants(m, successor).has_value()});
-                         return true;
-                       });
-    if (next.empty() && options.check_termination) {
-      terminal = CheckTerminal(m, state, options.bounds);
+    for (size_t i = first; i < first + count && !terminal.has_value(); ++i) {
+      const std::string_view parent = block.bytes(i);
+      m.Decode(parent, &x->state);
+      const size_t before = next.size();
+      m.ForEachSuccessor(x->state, parent, options.bounds, &x->scratch,
+                         [&](const SpecMove&, const SpecState& successor,
+                             std::string_view successor_bytes) {
+                           bytes.append(successor_bytes);
+                           next.push_back(Next{FingerprintOf(successor_bytes),
+                                               static_cast<uint32_t>(bytes.size()),
+                                               CheckStateInvariants(m, successor).has_value()});
+                           return true;
+                         });
+      ends.push_back(static_cast<uint32_t>(next.size()));
+      if (next.size() == before && options.check_termination) {
+        terminal = CheckTerminal(m, x->state, options.bounds);
+      }
     }
   }
 
-  SpecState state;  // The decoded parent.
-  SpecScratch scratch;
-  std::vector<Next> next;  // Kept moves, in ForEachSuccessor's order.
-  std::string bytes;       // Their successors' canonical bytes, back to back.
-  std::optional<Found> terminal;  // A state without successors failed termination.
+  const int* nodes = nullptr;  // The batch's states' node ids.
+  std::vector<Next> next;      // Kept moves of the expanded states, in order.
+  std::string bytes;           // Their successors' canonical bytes, back to back.
+  std::vector<uint32_t> ends;  // Expanded state i's moves end at next[ends[i]].
+  std::optional<Found> terminal;  // The last expanded state failed termination.
+};
+
+// A block handed to the expanding threads, with its batches' outputs. Set
+// up by the calling thread; `claimed` and `done` are guarded by the
+// frontier's mutex, and out[b] belongs to the thread that claimed batch b
+// until it sets done[b].
+struct Chunk {
+  const Block* block = nullptr;
+  size_t batches = 0;
+  size_t claimed = 0;  // Batches [0, claimed) have a thread.
+  std::bitset<kChunkBatches> done;
+  std::array<Batch, kChunkBatches> out;
+};
+
+// The FIFO frontier of one CheckSpec call and the threads that expand it.
+// The calling thread appends states with Push and takes the expanded
+// batches from Next strictly in FIFO order, expanding batches itself while
+// the next one is unfinished; `workers` more threads, started once, expand
+// batches of the chunks in flight, oldest first. Stop, or else the
+// destructor, joins the workers before the blocks and outputs they read are
+// destroyed, and Stop rethrows on the calling thread an exception a worker
+// threw.
+class Frontier {
+ public:
+  Frontier(const SpecMachine& m, const CheckerOptions& options, int workers)
+      : m_(m), options_(options), chunks_(kChunksInFlight) {
+    try {
+      for (int i = 0; i < workers; ++i) {
+        workers_.emplace_back([this] { Work(); });
+      }
+    } catch (...) {
+      Join();
+      throw;
+    }
+  }
+  ~Frontier() { Join(); }
+  Frontier(const Frontier&) = delete;
+  Frontier& operator=(const Frontier&) = delete;
+
+  void Push(int node, std::string_view bytes) {
+    tail_.Push(node, bytes);
+    if (tail_.size() == kChunkStates) {
+      Close();
+    }
+  }
+
+  // The next batch in queue order, once it is expanded; nullptr once the
+  // queue is empty. The batch stays valid until the next call.
+  const Batch* Next() {
+    if (!queue_.empty() && batch_ == chunks_[head_ % kChunksInFlight].batches) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++head_;
+      }
+      queue_.pop_front();
+      batch_ = 0;
+      Dispatch();
+    }
+    if (queue_.empty()) {
+      if (tail_.size() == 0) {
+        return nullptr;
+      }
+      Close();  // Nothing else is left to expand, so a short block goes too.
+    }
+    const Chunk& c = chunks_[head_ % kChunksInFlight];
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!c.done[batch_] && error_ == nullptr) {
+      if (unclaimed_ > 0) {
+        ExpandOne(lock, &expander_);
+      } else {
+        done_cv_.wait(lock, [&] { return c.done[batch_] || error_ != nullptr; });
+      }
+    }
+    if (error_ != nullptr) {
+      lock.unlock();
+      Stop();
+    }
+    return &c.out[batch_++];
+  }
+
+  // Joins the workers, then rethrows the first exception one of them threw.
+  void Stop() {
+    Join();
+    if (error_ != nullptr) {
+      std::rethrow_exception(std::exchange(error_, nullptr));
+    }
+  }
+
+ private:
+  void Close() {
+    queue_.push_back(std::move(tail_));
+    tail_ = Block{};
+    Dispatch();
+  }
+
+  // Hands queued blocks to free chunk slots, oldest first.
+  void Dispatch() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      while (dispatched_ - head_ < std::min(queue_.size(), kChunksInFlight)) {
+        Chunk& c = chunks_[dispatched_ % kChunksInFlight];
+        c.block = &queue_[dispatched_ - head_];
+        c.batches = (c.block->size() + kBatchStates - 1) / kBatchStates;
+        c.claimed = 0;
+        c.done.reset();
+        unclaimed_ += c.batches;
+        ++dispatched_;
+      }
+    }
+    work_cv_.notify_all();
+  }
+
+  // Claims the oldest unclaimed batch in flight and expands it with `lock`
+  // released. Requires unclaimed_ > 0.
+  void ExpandOne(std::unique_lock<std::mutex>& lock, Expander* x) {
+    size_t seq = head_;
+    while (chunks_[seq % kChunksInFlight].claimed == chunks_[seq % kChunksInFlight].batches) {
+      ++seq;
+    }
+    Chunk& c = chunks_[seq % kChunksInFlight];
+    const size_t b = c.claimed++;
+    --unclaimed_;
+    const Block& block = *c.block;
+    lock.unlock();
+    const size_t first = b * kBatchStates;
+    c.out[b].Expand(m_, options_, block, first, std::min(kBatchStates, block.size() - first), x);
+    lock.lock();
+    c.done.set(b);
+    done_cv_.notify_one();
+  }
+
+  void Work() {
+    try {
+      Expander x;
+      std::unique_lock<std::mutex> lock(mu_);
+      while (true) {
+        work_cv_.wait(lock, [this] { return stop_ || unclaimed_ > 0; });
+        if (stop_) {
+          return;
+        }
+        ExpandOne(lock, &x);
+      }
+    } catch (...) {
+      // Such as std::bad_alloc: the calling thread rethrows it after the join.
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (error_ == nullptr) {
+          error_ = std::current_exception();
+        }
+        stop_ = true;
+      }
+      work_cv_.notify_all();
+      done_cv_.notify_all();
+    }
+  }
+
+  void Join() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (std::thread& worker : workers_) {
+      if (worker.joinable()) {
+        worker.join();
+      }
+    }
+  }
+
+  const SpecMachine& m_;
+  const CheckerOptions& options_;
+  // The calling thread's own. Only it touches tail_ and queue_; the workers
+  // read the blocks in flight through their chunks.
+  Expander expander_;
+  Block tail_;               // Being filled, not yet queued.
+  std::deque<Block> queue_;  // Oldest first; the first ones are in flight.
+  std::vector<Chunk> chunks_;  // Chunk number k is chunks_[k % kChunksInFlight].
+  size_t batch_ = 0;           // The oldest chunk's next batch to merge.
+  std::mutex mu_;
+  // Guarded by mu_. Only the calling thread writes head_ and dispatched_, so
+  // it reads them without the lock.
+  size_t head_ = 0;        // The oldest chunk in flight.
+  size_t dispatched_ = 0;  // Chunks dispatched so far.
+  size_t unclaimed_ = 0;   // Batches in flight without a thread.
+  bool stop_ = false;
+  std::exception_ptr error_;
+  std::condition_variable work_cv_;  // unclaimed_ > 0, or stop_.
+  std::condition_variable done_cv_;  // A batch is expanded, or error_ is set.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace
@@ -440,21 +651,19 @@ std::string CheckResult::Summary() const {
 
 CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options) {
   CAMELOT_CHECK(machine.HighestRound(options.bounds) <= kSpecMaxRound);
+  CAMELOT_CHECK(machine.EpochsFitOneByte(options.bounds));
   CheckResult res;
 
-  std::vector<Node> nodes;
-  FingerprintSet seen;
   // The frontier holds canonical bytes; visited interior states keep only
   // their fingerprint and parent edge.
-  Level level;
-  Level next_level;
+  std::vector<Node> nodes;
+  FingerprintSet seen;
 
   const SpecState init = machine.Initial();
   const std::string init_canon = machine.Canonical(init);
   seen.Insert(FingerprintOf(init_canon));
   nodes.push_back(Node{});
   res.digest = FnvMix(kFnvOffset, init_canon);
-  level.Push(0, init_canon);
   res.states = 1;
 
   auto fail = [&](int idx, const Found& found) {
@@ -497,60 +706,53 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
     }
   }
 
-  // Level by level, in chunks: the workers expand a chunk's states into their
-  // own slots, then this thread merges the slots in frontier order, exactly
-  // as a serial BFS would meet them, so every counter, the digest and the
-  // first violation are the same at any thread count.
-  const int threads = DefaultSweepThreads();
-  std::vector<Expansion> chunk;
-  while (level.size() > 0) {
-    for (size_t begin = 0; begin < level.size(); begin += kChunkStates) {
-      const size_t count = std::min(kChunkStates, level.size() - begin);
-      if (chunk.size() < count) {
-        chunk.resize(count);
-      }
-      ParallelFor(threads, count, [&](size_t i) {
-        chunk[i].Expand(machine, options, level.bytes(begin + i));
-      });
-      for (size_t i = 0; i < count; ++i) {
-        const Expansion& x = chunk[i];
-        const int idx = level.node(begin + i);
-        if (x.terminal.has_value()) {
-          fail(idx, *x.terminal);
+  // A FIFO queue meets states in the order of a level-by-level BFS, and this
+  // thread merges every batch in queue order, exactly as a serial BFS would
+  // meet the successors, so every counter, the digest and the first
+  // violation are the same at any thread count.
+  Frontier frontier(machine, options, DefaultSweepThreads() - 1);
+  frontier.Push(0, init_canon);
+  while (const Batch* batch = frontier.Next()) {
+    uint32_t first = 0;
+    size_t start = 0;
+    for (size_t i = 0; i < batch->ends.size(); ++i) {
+      for (uint32_t k = first; k < batch->ends[i]; ++k) {
+        const Batch::Next& next = batch->next[k];
+        const std::string_view bytes(batch->bytes.data() + start, next.end - start);
+        start = next.end;
+        res.transitions += 1;
+        if (!seen.Insert(next.fingerprint)) {
+          res.dedup_hits += 1;
+          continue;
+        }
+        const int nidx = static_cast<int>(nodes.size());
+        nodes.push_back(Node{batch->nodes[i], k - first});
+        res.digest = FnvMix(res.digest, bytes);
+        res.states += 1;
+        if (next.violates) {
+          frontier.Stop();
+          SpecState state;
+          machine.Decode(bytes, &state);
+          fail(nidx, *CheckStateInvariants(machine, state));
           return res;
         }
-        size_t start = 0;
-        for (uint32_t ordinal = 0; ordinal < x.next.size(); ++ordinal) {
-          const Expansion::Next& next = x.next[ordinal];
-          const std::string_view bytes(x.bytes.data() + start, next.end - start);
-          start = next.end;
-          res.transitions += 1;
-          if (!seen.Insert(next.fingerprint)) {
-            res.dedup_hits += 1;
-            continue;
-          }
-          const int nidx = static_cast<int>(nodes.size());
-          nodes.push_back(Node{idx, ordinal});
-          res.digest = FnvMix(res.digest, bytes);
-          res.states += 1;
-          if (next.violates) {
-            SpecState state;
-            machine.Decode(bytes, &state);
-            fail(nidx, *CheckStateInvariants(machine, state));
-            return res;
-          }
-          if (res.states >= options.max_states) {
-            res.ok = true;
-            res.complete = false;
-            return res;
-          }
-          next_level.Push(nidx, bytes);
+        if (res.states >= options.max_states) {
+          frontier.Stop();
+          res.ok = true;
+          res.complete = false;
+          return res;
         }
+        frontier.Push(nidx, bytes);
       }
+      first = batch->ends[i];
     }
-    std::swap(level, next_level);
-    next_level.Clear();
+    if (batch->terminal.has_value()) {
+      frontier.Stop();
+      fail(batch->nodes[batch->ends.size() - 1], *batch->terminal);
+      return res;
+    }
   }
+  frontier.Stop();
 
   res.ok = true;
   res.complete = true;

@@ -61,9 +61,14 @@ struct CheckResult {
   std::string Summary() const;
 };
 
-// Requires machine.HighestRound(options.bounds) <= kSpecMaxRound. Expands
-// the frontier on DefaultSweepThreads() threads (CAMELOT_SWEEP_THREADS) and
-// merges in frontier order, so the result is the same at any thread count.
+// Requires machine.HighestRound(options.bounds) <= kSpecMaxRound and
+// machine.EpochsFitOneByte(options.bounds). The frontier is a FIFO queue of
+// canonical bytes: DefaultSweepThreads() - 1 workers (CAMELOT_SWEEP_THREADS),
+// started for this call and joined before it returns, expand batches of it
+// ahead of the calling thread, which merges them in queue order and expands
+// batches itself while the next one it must merge is unfinished. The result
+// is the same at any thread count. An exception thrown on a worker is
+// rethrown on the calling thread.
 CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options);
 
 // One seeded spec weakening for the kill suite: the scenario + knobs define a

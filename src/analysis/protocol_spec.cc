@@ -282,7 +282,13 @@ int SpecMachine::HighestRound(const SpecBounds& bounds) const {
   if (!takeovers || bounds.max_takeover_rounds <= 0) {
     return 0;
   }
-  return std::min(bounds.max_total_takeovers, bounds.max_takeover_rounds + n() - 1);
+  // In 64 bits: a per-process budget near INT_MAX must not wrap below the cap.
+  return static_cast<int>(std::min<int64_t>(bounds.max_total_takeovers,
+                                            int64_t{bounds.max_takeover_rounds} + n() - 1));
+}
+
+bool SpecMachine::EpochsFitOneByte(const SpecBounds& bounds) const {
+  return SpecMakeEpoch(HighestRound(bounds), n() - 1) + 1 <= 255;
 }
 
 bool SpecMachine::TakeoverCandidate(int p) const {

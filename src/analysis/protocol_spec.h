@@ -316,7 +316,9 @@ struct SpecScratch {
 // Encoding limits. The vote and ack masks are 16 bits wide and `observed`
 // has 16 slots, so a machine holds at most kSpecMaxProcs processes.
 // Canonical writes each epoch (16 * round + proc) as one byte, so no takeover
-// round may exceed kSpecMaxRound.
+// round may exceed kSpecMaxRound, and a STATUS-RESP's accepted epoch + 1 (0
+// means none) must fit the byte too: SpecMachine::EpochsFitOneByte, which
+// leaves round 15 to machines of at most 15 processes.
 inline constexpr int kSpecMaxProcs = 16;
 inline constexpr int kSpecMaxRound = 15;
 
@@ -362,6 +364,9 @@ class SpecMachine {
   // past the budget starts no more, so each of the other n() - 1 processes
   // adds at most one round; and no round exceeds the number of starts.
   int HighestRound(const SpecBounds& bounds) const;
+  // Whether the highest epoch an exploration under `bounds` can reach, plus
+  // one, fits the byte Canonical writes it in.
+  bool EpochsFitOneByte(const SpecBounds& bounds) const;
 
   SpecState Initial() const;
 

@@ -1,12 +1,13 @@
-// Host-thread fan-out for explorer sweeps and the model checker's frontier.
+// Host-thread fan-out for explorer sweeps and bench_engine.
 //
 // Every sweep schedule runs in its own World (scheduler, network, sites,
 // failpoints, ledgers all World members), so runs are independent and
 // bit-identical regardless of which host thread executes them. The sweeps
 // pre-generate their schedule lists, fan the runs out here, and merge results
 // in schedule order — failure ordering and replay recipes are byte-identical
-// at any thread count. CheckSpec expands frontier chunks the same way and
-// merges them in frontier order.
+// at any thread count. The model checker, which does not link the harness,
+// takes its thread count from DefaultSweepThreads() too; it runs its own
+// frontier pipeline rather than ParallelFor.
 #ifndef SRC_BASE_PARALLEL_H_
 #define SRC_BASE_PARALLEL_H_
 

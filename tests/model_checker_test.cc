@@ -5,6 +5,7 @@
 // counterexample minimization, and the seeded spec-mutation kill suite.
 #include "src/analysis/model_checker.h"
 
+#include <climits>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -317,11 +318,15 @@ class SweepThreads {
   std::optional<std::string> saved_;
 };
 
-// CheckSpec expands each frontier chunk on CAMELOT_SWEEP_THREADS threads and
-// merges the chunk in frontier order, so one thread and four explore the
-// same states in the same order: the pinned spaces, and a seeded mutation
-// whose violation lands mid-level after some 50k states, report identical
-// summaries and identical violation reports.
+// CheckSpec expands frontier batches on CAMELOT_SWEEP_THREADS threads and
+// merges them in frontier order, so one thread and four explore the same
+// states in the same order: the pinned spaces, and a seeded mutation whose
+// violation lands mid-level after some 50k states, report identical
+// summaries and identical violation reports. Two more spaces end while
+// chunks are still in flight, and are pinned at one to four threads: the
+// benchmark space at a 100,000-state cap, and the same space with a crash,
+// whose termination check fails (the only pinned run that merges a failed
+// termination check).
 TEST(ModelCheckerDigest, ExplorationIsTheSameAtOneAndFourThreads) {
   const std::vector<SafetyCase> cases = QuickSafetyCases();
   const SeededMutation* mutation = nullptr;
@@ -355,6 +360,29 @@ TEST(ModelCheckerDigest, ExplorationIsTheSameAtOneAndFourThreads) {
   EXPECT_EQ(one, four);
   EXPECT_EQ(one.size(), cases.size() + 3);
   EXPECT_NE(one.back(), "");
+
+  CheckerOptions capped = BenchmarkOptions();
+  capped.max_states = 100000;
+  CheckerOptions crash = BenchmarkOptions();
+  crash.bounds.max_crashes = 1;
+  std::optional<uint64_t> report;
+  for (const char* threads : {"1", "2", "3", "4"}) {
+    const SweepThreads set(threads);
+    EXPECT_EQ(CheckSpec(SpecMachine(BenchmarkScenario()), capped).Summary(),
+              "ok (bounded): states=100000 transitions=272210 dedup=172211 "
+              "digest=dd55bcb6e1071494")
+        << threads << " threads";
+    const CheckResult res = CheckSpec(SpecMachine(BenchmarkScenario()), crash);
+    EXPECT_EQ(res.Summary(),
+              "VIOLATION: states=133546 transitions=355413 dedup=221868 digest=9e6833d6960980ae "
+              "[non-blocking] terminal state leaves live p0 undecided in phase prepared")
+        << threads << " threads";
+    ASSERT_TRUE(res.violation.has_value()) << threads << " threads";
+    if (!report.has_value()) {
+      report = ReportHash(*res.violation);
+    }
+    EXPECT_EQ(ReportHash(*res.violation), *report) << threads << " threads";
+  }
 }
 
 // The frontier holds canonical bytes and expands Decode(bytes), so Decode
@@ -396,8 +424,10 @@ TEST(ModelCheckerDigest, DecodeInvertsCanonicalOnEveryReachableState) {
 }
 
 // A model the encoding cannot hold is a caller error, never a silently
-// smaller check: 17 processes overflow the 16-bit masks, and takeover
-// rounds past 15 overflow the one-byte epochs.
+// smaller check: 17 processes overflow the 16-bit masks, takeover rounds
+// past 15 (also from a per-process budget of INT_MAX) overflow the one-byte
+// epochs, and so does round 15 with 16 processes, whose epoch 255 plus one
+// (a status reply's accepted field) would read as "nothing accepted".
 TEST(ModelCheckerDeathTest, RejectsModelsTheEncodingCannotHold) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   SpecScenario sc;
@@ -408,6 +438,12 @@ TEST(ModelCheckerDeathTest, RejectsModelsTheEncodingCannotHold) {
   CheckerOptions opt;
   opt.bounds.max_takeover_rounds = kSpecMaxRound + 1;
   EXPECT_DEATH(CheckSpec(SpecMachine(sc), opt), "CHECK failed.*kSpecMaxRound");
+  opt.bounds.max_takeover_rounds = INT_MAX;  // Plus the other processes' rounds.
+  EXPECT_DEATH(CheckSpec(SpecMachine(sc), opt), "CHECK failed.*kSpecMaxRound");
+  sc.update_subs = kSpecMaxProcs - 1;
+  opt.bounds.max_takeover_rounds = 1;
+  opt.bounds.max_total_takeovers = kSpecMaxRound;
+  EXPECT_DEATH(CheckSpec(SpecMachine(sc), opt), "CHECK failed.*EpochsFitOneByte");
 }
 
 // Minimization: counterexamples come back short enough for a human. The raw
