@@ -15,6 +15,7 @@
 #include <thread>
 #include <utility>
 
+#include "src/base/failpoint.h"
 #include "src/base/logging.h"
 #include "src/base/parallel.h"
 
@@ -200,33 +201,38 @@ std::optional<Found> CheckTerminal(const SpecMachine& m, const SpecState& s,
   return std::nullopt;
 }
 
-// Replays `moves` from the initial state, taking each move only where
-// ForEachSuccessor offers it, so a replay and the BFS share one definition of
-// an enabled move. Returns the invariant found at any point along the way
-// (first hit wins, matching the BFS which checks every state), or nullopt if
-// the trace no longer violates / no longer applies.
-std::optional<Found> ReplayTrace(const SpecMachine& m, const std::vector<SpecMove>& moves,
-                                 const SpecBounds& bounds) {
+// The one replay: a walk from the initial state through ForEachSuccessor, so
+// a replay takes only moves the BFS could take. Step i takes the first
+// successor for which pick(i, move, ordinal) holds, `ordinal` counting the
+// state's successors in ForEachSuccessor's order, and appends its move to
+// `*taken` when given. The walk ends after `steps` moves or at the first
+// state that violates a state invariant (the first hit wins, as in the BFS,
+// which checks every state) and returns that violation; nullopt when no
+// state violates or some step picks no successor.
+template <typename Pick>
+std::optional<Found> Replay(const SpecMachine& m, const SpecBounds& bounds, size_t steps,
+                            Pick&& pick, std::vector<SpecMove>* taken = nullptr) {
   SpecState s = m.Initial();
   SpecState next;
   SpecScratch scratch;
   std::string bytes;
   std::optional<Found> hit = CheckStateInvariants(m, s);
-  for (const SpecMove& mv : moves) {
-    if (hit.has_value()) {
-      return hit;
-    }
-    bool taken = false;
+  for (size_t i = 0; i < steps && !hit.has_value(); ++i) {
+    bool picked = false;
+    uint32_t ordinal = 0;
     m.CanonicalInto(s, &bytes);
     m.ForEachSuccessor(s, bytes, bounds, &scratch,
                        [&](const SpecMove& move, const SpecState& successor, std::string_view) {
-                         taken = move == mv;
-                         if (taken) {
+                         picked = pick(i, move, ordinal++);
+                         if (picked) {
                            next = successor;
+                           if (taken != nullptr) {
+                             taken->push_back(move);
+                           }
                          }
-                         return !taken;
+                         return !picked;
                        });
-    if (!taken) {
+    if (!picked) {
       return std::nullopt;
     }
     std::swap(s, next);
@@ -242,90 +248,86 @@ std::vector<SpecMove> MinimizeTrace(const SpecMachine& m, std::vector<SpecMove> 
   bool shrunk = true;
   while (shrunk) {
     shrunk = false;
-    for (size_t i = 0; i < moves.size(); ++i) {
-      std::vector<SpecMove> candidate;
-      candidate.reserve(moves.size() - 1);
-      for (size_t j = 0; j < moves.size(); ++j) {
-        if (j != i) {
-          candidate.push_back(moves[j]);
-        }
-      }
-      std::optional<Found> hit = ReplayTrace(m, candidate, bounds);
+    for (size_t i = 0; i < moves.size() && !shrunk; ++i) {
+      std::vector<SpecMove> candidate = moves;
+      candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
+      std::optional<Found> hit =
+          Replay(m, bounds, candidate.size(), [&](size_t step, const SpecMove& move, uint32_t) {
+            return move == candidate[step];
+          });
       if (hit.has_value() && hit->invariant == invariant) {
         moves = std::move(candidate);
         shrunk = true;
-        break;
       }
     }
   }
   return moves;
 }
 
-// Best-effort CAMELOT_* replay recipe: walks the trace tracking each
-// process's force-point hit counts and each sender's per-type send ordinals,
-// mapping crash moves to "<last-force>.after@site#hit=crash" and loss moves
-// to "tm.send.<TYPE>@site#ordinal=drop". Returns "" when some step has no
-// runtime counterpart (takeover internals, crashes before any force).
-std::string BuildReplayRecipe(const SpecMachine& m, const std::vector<SpecMove>& moves) {
+// Renders a violation from its minimized moves in one pass, one SpecEffect
+// per move: each move's label with its effect notes, the final state's dump
+// and a CAMELOT_* replay recipe. The recipe's schedule maps each crash to
+// "<the process's last force point>.after" at that point's hit count, and
+// each loss to the drop of the message's send, "tm.send.<TYPE>" at the
+// sender's ordinal for that type. A recipe needs every step to map: there is
+// none when a crash comes before any runtime force point, or when a process
+// votes no, which no failpoint arms.
+Violation Render(const SpecMachine& m, const Found& found, const std::vector<SpecMove>& moves) {
+  Violation v{found.invariant, found.detail, {}, {}, {}};
   SpecState s = m.Initial();
-  // Per (proc, point): hits so far. Per proc: last force (point, hit).
-  std::map<std::pair<int, std::string>, int> force_hits;
-  std::map<int, std::pair<std::string, int>> last_force;
-  // Per (from, type): send ordinal. Per message key: its ordinal entry.
-  std::map<std::pair<int, std::string>, int> send_ordinals;
-  std::map<std::array<uint64_t, 3>, std::pair<std::string, std::pair<int, int>>> msg_origin;
-  std::vector<std::string> entries;
-
+  // Per (proc, point): forces so far. Per proc: its last force and hit.
+  std::map<std::pair<int, std::string>, uint64_t> force_hits;
+  std::map<int, std::pair<std::string, uint64_t>> last_force;
+  // Per (sender, type): sends so far. Per message: the entry dropping it.
+  std::map<std::pair<int, SpecMsgType>, uint64_t> sends;
+  std::map<SpecMsg, ScheduleEntry> drops;
+  CrashSchedule schedule;
+  bool maps = true;
   for (const SpecMove& mv : moves) {
     if (mv.kind == SpecMove::Kind::kCrash) {
-      auto it = last_force.find(mv.proc);
-      if (it == last_force.end()) {
-        return "";  // Crash before any runtime force point: no schedule hook.
+      const auto it = last_force.find(mv.proc);
+      maps = maps && it != last_force.end();
+      if (maps) {
+        schedule.entries.push_back(ScheduleEntry{it->second.first + ".after",
+                                                 SiteId{static_cast<uint32_t>(mv.proc)},
+                                                 it->second.second, FailpointAction::kCrash});
       }
-      entries.push_back(it->second.first + ".after@" + std::to_string(mv.proc) + "#" +
-                        std::to_string(it->second.second) + "=crash");
     } else if (mv.kind == SpecMove::Kind::kLose) {
-      auto it = msg_origin.find(mv.msg.Key());
-      if (it == msg_origin.end()) {
-        return "";
+      const auto it = drops.find(mv.msg);
+      maps = maps && it != drops.end();
+      if (maps) {
+        schedule.entries.push_back(it->second);
       }
-      entries.push_back("tm.send." + it->second.first + "@" +
-                        std::to_string(it->second.second.first) + "#" +
-                        std::to_string(it->second.second.second) + "=drop");
     } else if (mv.kind == SpecMove::Kind::kNoVote) {
-      return "";  // Votes are workload-driven; no failpoint arms a no vote.
+      maps = false;
     }
     SpecEffect eff;
-    SpecState next = m.Apply(s, mv, &eff);
-    for (const auto& f : eff.forces) {
-      const int hit = ++force_hits[{f.first, f.second}];
-      last_force[f.first] = {f.second, hit};
+    m.ApplyTo(&s, mv, &eff);
+    std::string label = m.MoveLabel(mv);
+    for (const std::string& note : eff.notes) {
+      label += "\n      " + note;
     }
-    // Attribute ordinals to the messages this move inserted.
-    for (const SpecMsg& msg : next.net) {
-      if (!s.HasMsg(msg)) {
-        const int ord = ++send_ordinals[{msg.from, SpecMsgTypeName(msg.type)}];
-        msg_origin[msg.Key()] = {SpecMsgTypeName(msg.type), {msg.from, ord}};
-      }
+    v.trace.push_back(std::move(label));
+    for (const auto& [proc, point] : eff.forces) {
+      last_force[proc] = {point, ++force_hits[{proc, point}]};
     }
-    s = std::move(next);
-  }
-
-  std::string recipe = "CAMELOT_PROTOCOL=" + ProtocolName(m.scenario().options);
-  if (m.scenario().options.protocol == CommitProtocol::kPaxos) {
-    recipe += " CAMELOT_F=" + std::to_string(m.scenario().options.paxos_f);
-  }
-  if (!entries.empty()) {
-    recipe += " CAMELOT_SCHEDULE='";
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (i > 0) {
-        recipe += ';';
-      }
-      recipe += entries[i];
+    for (const SpecMsg& msg : eff.sends) {
+      drops[msg] = ScheduleEntry{std::string("tm.send.") + SpecMsgTypeName(msg.type),
+                                 SiteId{msg.from}, ++sends[{msg.from, msg.type}],
+                                 FailpointAction::kDrop};
     }
-    recipe += "'";
   }
-  return recipe;
+  v.state_dump = m.DumpState(s);
+  if (maps) {
+    v.replay = "CAMELOT_PROTOCOL=" + ProtocolName(m.scenario().options);
+    if (m.scenario().options.protocol == CommitProtocol::kPaxos) {
+      v.replay += " CAMELOT_F=" + std::to_string(m.scenario().options.paxos_f);
+    }
+    if (!schedule.entries.empty()) {
+      v.replay += " CAMELOT_SCHEDULE='" + schedule.ToString() + "'";
+    }
+  }
+  return v;
 }
 
 // A visited state: its BFS parent, and the ordinal of the move that reached
@@ -334,36 +336,6 @@ struct Node {
   int parent = -1;
   uint32_t ordinal = 0;
 };
-
-// The moves from the initial state to `nodes[idx]`, recovered by replaying
-// each ordinal through ForEachSuccessor.
-std::vector<SpecMove> MovesTo(const SpecMachine& m, const SpecBounds& bounds,
-                              const std::vector<Node>& nodes, int idx) {
-  std::vector<uint32_t> ordinals;
-  for (int at = idx; at > 0; at = nodes[static_cast<size_t>(at)].parent) {
-    ordinals.push_back(nodes[static_cast<size_t>(at)].ordinal);
-  }
-  std::vector<SpecMove> moves;
-  SpecState s = m.Initial();
-  SpecState next;
-  SpecScratch scratch;
-  std::string bytes;
-  for (auto ordinal = ordinals.rbegin(); ordinal != ordinals.rend(); ++ordinal) {
-    uint32_t skip = *ordinal;
-    m.CanonicalInto(s, &bytes);
-    m.ForEachSuccessor(s, bytes, bounds, &scratch,
-                       [&](const SpecMove& move, const SpecState& successor, std::string_view) {
-                         if (skip-- > 0) {
-                           return true;
-                         }
-                         moves.push_back(move);
-                         next = successor;
-                         return false;
-                       });
-    std::swap(s, next);
-  }
-  return moves;
-}
 
 // The frontier is a FIFO queue of canonical bytes in blocks of kChunkStates
 // states. Up to kChunksInFlight blocks at a time are chunks handed to the
@@ -666,33 +638,22 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
   res.digest = FnvMix(kFnvOffset, init_canon);
   res.states = 1;
 
+  // Reports the violation `found` at nodes[idx]: the BFS path there, replayed
+  // by its stored ordinals, minimized and rendered.
   auto fail = [&](int idx, const Found& found) {
-    std::vector<SpecMove> moves =
-        MinimizeTrace(machine, MovesTo(machine, options.bounds, nodes, idx), options.bounds,
-                      found.invariant);
-    Violation v;
-    v.invariant = found.invariant;
-    v.detail = found.detail;
-    // Re-derive the final state of the minimized trace for the dump (the
-    // minimized endpoint may differ from the BFS endpoint).
-    SpecState final_state = machine.Initial();
-    for (const SpecMove& mv : moves) {
-      std::optional<Found> hit = CheckStateInvariants(machine, final_state);
-      if (hit.has_value()) {
-        break;
-      }
-      SpecEffect eff;
-      final_state = machine.Apply(final_state, mv, &eff);
-      std::string label = machine.MoveLabel(mv);
-      for (const std::string& note : eff.notes) {
-        label += "\n      " + note;
-      }
-      v.trace.push_back(label);
+    std::vector<uint32_t> ordinals;
+    for (int at = idx; at > 0; at = nodes[static_cast<size_t>(at)].parent) {
+      ordinals.push_back(nodes[static_cast<size_t>(at)].ordinal);
     }
-    v.state_dump = machine.DumpState(final_state);
-    v.replay = BuildReplayRecipe(machine, moves);
+    std::reverse(ordinals.begin(), ordinals.end());
+    std::vector<SpecMove> path;
+    Replay(
+        machine, options.bounds, ordinals.size(),
+        [&](size_t step, const SpecMove&, uint32_t ordinal) { return ordinal == ordinals[step]; },
+        &path);
     res.ok = false;
-    res.violation = std::move(v);
+    res.violation = Render(
+        machine, found, MinimizeTrace(machine, std::move(path), options.bounds, found.invariant));
   };
 
   {
@@ -704,6 +665,10 @@ CheckResult CheckSpec(const SpecMachine& machine, const CheckerOptions& options)
       res.complete = false;
       return res;
     }
+  }
+  if (res.states >= options.max_states) {
+    res.ok = true;  // The cap counts the initial state: bounded, not complete.
+    return res;
   }
 
   // A FIFO queue meets states in the order of a level-by-level BFS, and this

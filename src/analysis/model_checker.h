@@ -18,7 +18,8 @@
 // A violation reports the shortest BFS trace, greedily minimized (every move
 // whose removal preserves the violation is dropped), the violating state, and
 // — when every step maps onto a runtime failpoint schedule — a CAMELOT_*
-// replay recipe in the crash explorer's point@site#hit=action grammar.
+// replay recipe whose schedule is a CrashSchedule (point@site#hit=action),
+// which ReadReplayRecipe reads back for the crash explorer.
 #ifndef SRC_ANALYSIS_MODEL_CHECKER_H_
 #define SRC_ANALYSIS_MODEL_CHECKER_H_
 
@@ -33,8 +34,9 @@ namespace camelot {
 
 struct CheckerOptions {
   SpecBounds bounds;
-  // Hard cap on distinct states; exceeding it makes the run incomplete, not
-  // failed. The quick-tier configurations all fit well under the default.
+  // Hard cap on distinct states, the initial one included (a cap of 0 still
+  // counts it); reaching it makes the run incomplete, not failed. The
+  // quick-tier configurations all fit well under the default.
   size_t max_states = 400000;
   // Also flag loss-free terminal states with a live undecided participant.
   // Meaningful for nbc / paxos (and crash-free 2PC); plain 2PC with crashes

@@ -10,16 +10,6 @@ namespace camelot {
 
 namespace {
 
-// Acceptor-set sizing, mirroring HandleCommit and the hand analysis:
-// min(2F+1, participants), clamped odd.
-int PaxosAcceptors(uint32_t f, int subordinates) {
-  int a = std::min<int>(2 * static_cast<int>(f) + 1, subordinates + 1);
-  if (a % 2 == 0) {
-    --a;
-  }
-  return a;
-}
-
 int Pop(uint16_t mask) { return std::popcount(static_cast<unsigned>(mask)); }
 
 std::string Key(const char* role, const char* phase, const char* suffix) {
@@ -133,11 +123,6 @@ std::string SpecMsg::Describe() const {
 
 // --- SpecState message set ---------------------------------------------------
 
-bool SpecState::HasMsg(const SpecMsg& m) const {
-  auto it = std::lower_bound(net.begin(), net.end(), m);
-  return it != net.end() && *it == m;
-}
-
 bool SpecState::AddMsg(const SpecMsg& m) {
   auto it = std::lower_bound(net.begin(), net.end(), m);
   if (it != net.end() && *it == m) {
@@ -196,7 +181,7 @@ void SpecCtx::Send(const char* role, int to, SpecMsg msg) {
     return;
   }
   eff_->counts[Key(role, SpecMsgTypeName(msg.type), "dgram")] += 1;
-  eff_->sends.emplace_back(self_, SpecMsgTypeName(msg.type));
+  eff_->sends.push_back(msg);
   Note(std::string("p") + std::to_string(self_) + " send " + msg.Describe());
 }
 
@@ -212,16 +197,12 @@ void SpecCtx::Decide(SpecDecision d) {
   }
   seen = d;
   me().decided = d;
+  if (knobs().drop_locks_on_decide) {
+    me().locks = false;
+  }
   if (eff_ != nullptr) {
     Note(std::string("p") + std::to_string(self_) + " decides " + SpecDecisionName(d));
   }
-}
-
-void SpecCtx::DropLocks() {
-  if (!knobs().drop_locks_on_decide) {
-    return;
-  }
-  me().locks = false;
 }
 
 void SpecCtx::Note(std::string note) { eff_->notes.push_back(std::move(note)); }
@@ -233,7 +214,7 @@ SpecMachine::SpecMachine(const SpecScenario& scenario, const SpecKnobs& knobs)
   CAMELOT_CHECK(scenario_.update_subs >= 0 && scenario_.readonly_subs >= 0 &&
                 scenario_.procs() <= kSpecMaxProcs);
   if (scenario_.options.protocol == CommitProtocol::kPaxos) {
-    int a = PaxosAcceptors(scenario_.options.paxos_f, scenario_.subs());
+    const int a = PaxosAcceptorCount(scenario_.options.paxos_f, scenario_.subs());
     if (a <= 1) {
       // Gray & Lamport's theorem, honored structurally: F_eff = 0 Paxos Commit
       // IS the optimized two-phase protocol, so the spec builds 2PC rules.
@@ -364,6 +345,32 @@ SpecMsg Mk(SpecMsgType type) {
   return m;
 }
 
+// The decide-side steps rule bodies share.
+
+// Presumed abort: spool the abort record, decide, retire. Only the 2PC
+// coordinator's recovery passes another presumption, the one the
+// presume_abort_on_unknown mutation knob flips it to.
+void PresumeAbort(SpecCtx& ctx, const char* role, SpecDecision presumed = SpecDecision::kAbort) {
+  ctx.Spool(role, "abort",
+            {presumed == SpecDecision::kAbort ? SpecLogKind::kAbortRec : SpecLogKind::kCommitRec});
+  ctx.Decide(presumed);
+  ctx.Retire();
+}
+
+// A commit that needs no phase 2, the runtime's CommitLocalOnly: one force
+// iff the coordinator's site wrote, then decide, tell procs 1..tell (the
+// lingering read-only acceptors, whose acks do not matter) and retire.
+void CommitLocalOnly(SpecCtx& ctx, int tell) {
+  if (ctx.scenario().local_updates) {
+    ctx.Force("coord", "local.commit", "tm.local.commit_force", {SpecLogKind::kCommitRec});
+  }
+  ctx.Decide(SpecDecision::kCommit);
+  for (int q = 1; q <= tell; ++q) {
+    ctx.Send("coord", q, Mk(SpecMsgType::kCommit));
+  }
+  ctx.Retire();
+}
+
 // The coordinator's shared vote-phase steps. A variant adds each at its own
 // position under the same name; protocol_spec.h says why both matter.
 
@@ -403,13 +410,10 @@ SpecRule CoordinatorVoteRecord() {
 
 // The coordinator's unilateral abort while it still owns the decision.
 void CoordinatorAbort(SpecCtx& ctx, int subs) {
-  ctx.Spool("coord", "abort", {SpecLogKind::kAbortRec});
-  ctx.Decide(SpecDecision::kAbort);
-  ctx.DropLocks();
+  PresumeAbort(ctx, "coord");
   for (int q = 1; q <= subs; ++q) {
     ctx.Send("coord", q, Mk(SpecMsgType::kAbort));
   }
-  ctx.Retire();
 }
 
 // A refused vote aborts the family.
@@ -464,7 +468,6 @@ void SpecMachine::BuildSharedRules() {
           ctx.Send("coord", q, Mk(SpecMsgType::kAbort));
         }
         ctx.Decide(SpecDecision::kAbort);
-        ctx.DropLocks();
         ctx.Retire();
       }});
 
@@ -474,14 +477,7 @@ void SpecMachine::BuildSharedRules() {
       [commit_outcome, subs](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
         return self == 0 && commit_outcome && subs == 0 && P(s, 0).phase == SpecPhase::kStart;
       },
-      [](SpecCtx& ctx, const SpecMsg*) {
-        if (ctx.scenario().local_updates) {
-          ctx.Force("coord", "local.commit", "tm.local.commit_force", {SpecLogKind::kCommitRec});
-        }
-        ctx.Decide(SpecDecision::kCommit);
-        ctx.DropLocks();
-        ctx.Retire();
-      }});
+      [](SpecCtx& ctx, const SpecMsg*) { CommitLocalOnly(ctx, 0); }});
 
   // Any live subordinate learning ABORT: spool, undo, release, retire.
   rules_.push_back(SpecRule{
@@ -489,12 +485,7 @@ void SpecMachine::BuildSharedRules() {
       [](const SpecMachine&, const SpecState& s, int self, const SpecMsg*) {
         return self != 0 && P(s, self).phase != SpecPhase::kDone;
       },
-      [](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Spool("sub", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        ctx.DropLocks();
-        ctx.Retire();
-      }});
+      [](SpecCtx& ctx, const SpecMsg*) { PresumeAbort(ctx, "sub"); }});
 
   // PREPARE at a subordinate: update subs force (spec knob) their prepare and
   // vote; read-only subs vote, drop locks, and either retire (2PC,
@@ -559,7 +550,6 @@ void SpecMachine::BuildSharedRules() {
             ctx.Spool("sub", "commit", {SpecLogKind::kCommitRec});
           }
           ctx.Decide(SpecDecision::kCommit);
-          ctx.DropLocks();
           if (opt.piggyback_commit_ack) {
             ctx.me().phase = SpecPhase::kNotify;  // Delayed ack behind an ack force.
           } else {
@@ -570,7 +560,6 @@ void SpecMachine::BuildSharedRules() {
           // Section 3.2: spool the commit record, force only before the ack.
           ctx.Spool("sub", "commit", {SpecLogKind::kCommitRec});
           ctx.Decide(SpecDecision::kCommit);
-          ctx.DropLocks();
           ctx.me().phase = SpecPhase::kNotify;
         }
       }});
@@ -601,7 +590,6 @@ void SpecMachine::BuildSharedRules() {
       },
       [](SpecCtx& ctx, const SpecMsg* msg) {
         ctx.Decide(SpecDecision::kCommit);
-        ctx.DropLocks();
         ctx.Send("sub", msg->from, Mk(SpecMsgType::kCommitAck));
         ctx.Retire();
       }});
@@ -630,12 +618,7 @@ void SpecMachine::BuildSharedRules() {
         return self != 0 && P(s, self).phase == SpecPhase::kStart &&
                P(s, self).decided == SpecDecision::kNone;
       },
-      [](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Spool("sub", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        ctx.DropLocks();
-        ctx.Retire();
-      }});
+      [](SpecCtx& ctx, const SpecMsg*) { PresumeAbort(ctx, "sub"); }});
 
   rules_.push_back(SpecRule{
       "sub.status.query", true, false, std::nullopt,
@@ -757,7 +740,6 @@ void SpecMachine::BuildTwoPhaseRules() {
           ctx.Spool("coord", "2pc.commit", {SpecLogKind::kCommitRec});
         }
         ctx.Decide(SpecDecision::kCommit);
-        ctx.DropLocks();
         ctx.me().phase = SpecPhase::kNotify;
       }});
 
@@ -769,11 +751,7 @@ void SpecMachine::BuildTwoPhaseRules() {
         return self == 0 && c.phase == SpecPhase::kVoteWait && c.voted_mask == m.AllVoteMask() &&
                c.no_mask == 0 && m.scenario().update_subs == 0 && !m.scenario().local_updates;
       },
-      [](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Decide(SpecDecision::kCommit);
-        ctx.DropLocks();
-        ctx.Retire();
-      }});
+      [](SpecCtx& ctx, const SpecMsg*) { CommitLocalOnly(ctx, 0); }});
 
   rules_.push_back(AbortOnNoVote(subs));
   rules_.push_back(VoteTimeoutAbort(subs));
@@ -833,7 +811,8 @@ void SpecMachine::BuildNonBlockingRules() {
         ctx.me().fanout_sent = true;
       }});
 
-  // Every subordinate read-only: the local commit record alone decides.
+  // Every subordinate read-only: the local commit record alone decides. The
+  // acks land on the retired family, so there is no end record.
   rules_.push_back(SpecRule{
       "coord.commit.ro.nbc", false, false, std::nullopt,
       [subs](const SpecMachine& m, const SpecState& s, int self, const SpecMsg*) {
@@ -841,17 +820,7 @@ void SpecMachine::BuildNonBlockingRules() {
         return self == 0 && c.phase == SpecPhase::kVoteWait && c.voted_mask == m.AllVoteMask() &&
                c.no_mask == 0 && m.scenario().update_subs == 0;
       },
-      [subs](SpecCtx& ctx, const SpecMsg*) {
-        if (ctx.scenario().local_updates) {
-          ctx.Force("coord", "local.commit", "tm.local.commit_force", {SpecLogKind::kCommitRec});
-        }
-        ctx.Decide(SpecDecision::kCommit);
-        ctx.DropLocks();
-        for (int q = 1; q <= subs; ++q) {
-          ctx.Send("coord", q, Mk(SpecMsgType::kCommit));
-        }
-        ctx.Retire();  // Acks land on the retired family; no end record.
-      }});
+      [subs](SpecCtx& ctx, const SpecMsg*) { CommitLocalOnly(ctx, subs); }});
 
   rules_.push_back(SpecRule{
       "coord.repack.record", false, false, SpecMsgType::kReplicateAck,
@@ -871,7 +840,6 @@ void SpecMachine::BuildNonBlockingRules() {
       [](SpecCtx& ctx, const SpecMsg*) {
         ctx.Force("coord", "nbc.commit", "tm.nbc.commit_force", {SpecLogKind::kCommitRec});
         ctx.Decide(SpecDecision::kCommit);
-        ctx.DropLocks();
         ctx.me().phase = SpecPhase::kNotify;
         ctx.me().fanout_sent = false;
       }});
@@ -989,7 +957,6 @@ void SpecMachine::BuildPaxosRules() {
       [](SpecCtx& ctx, const SpecMsg*) {
         ctx.Spool("coord", "paxos.commit", {SpecLogKind::kCommitRec});
         ctx.Decide(SpecDecision::kCommit);
-        ctx.DropLocks();
         ctx.me().phase = SpecPhase::kNotify;
         ctx.me().fanout_sent = false;
       }});
@@ -1004,12 +971,7 @@ void SpecMachine::BuildPaxosRules() {
                c.no_mask == 0 && m.scenario().update_subs == 0 && !m.scenario().local_updates;
       },
       [](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Decide(SpecDecision::kCommit);
-        ctx.DropLocks();
-        for (int a = 1; a < ctx.machine().acceptor_count(); ++a) {
-          ctx.Send("coord", a, Mk(SpecMsgType::kCommit));
-        }
-        ctx.Retire();
+        CommitLocalOnly(ctx, ctx.machine().acceptor_count() - 1);
       }});
 
   // A refused vote: no acceptor can ever assemble an all-yes set, so the
@@ -1171,7 +1133,6 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
                     {p.seen_decision == SpecDecision::kCommit ? SpecLogKind::kCommitRec
                                                               : SpecLogKind::kAbortRec});
           ctx.Decide(p.seen_decision);
-          ctx.DropLocks();
           p.phase = SpecPhase::kLeadNotify;
           p.fanout_sent = false;
           return;
@@ -1289,7 +1250,6 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
                   {p.accepted_value == SpecDecision::kCommit ? SpecLogKind::kCommitRec
                                                              : SpecLogKind::kAbortRec});
         ctx.Decide(p.accepted_value);
-        ctx.DropLocks();
         p.phase = SpecPhase::kLeadNotify;
         p.fanout_sent = false;
       }});
@@ -1355,7 +1315,6 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
           ctx.Spool("coord", commit ? "commit" : "abort",
                     {commit ? SpecLogKind::kCommitRec : SpecLogKind::kAbortRec});
           ctx.Decide(commit ? SpecDecision::kCommit : SpecDecision::kAbort);
-          ctx.DropLocks();
           ctx.Retire();
         }});
   }
@@ -1460,12 +1419,6 @@ void SpecMachine::EnabledMoves(const SpecState& s, const SpecBounds& bounds,
   }
 }
 
-SpecState SpecMachine::Apply(const SpecState& s, const SpecMove& move, SpecEffect* eff) const {
-  SpecState next = s;
-  ApplyTo(&next, move, eff);
-  return next;
-}
-
 void SpecMachine::ApplyTo(SpecState* s, const SpecMove& move, SpecEffect* eff) const {
   switch (move.kind) {
     case SpecMove::Kind::kRule: {
@@ -1533,10 +1486,7 @@ void SpecMachine::ApplyTo(SpecState* s, const SpecMove& move, SpecEffect* eff) c
       } else {
         ctx.Send("sub", 0, v);
       }
-      ctx.Spool("sub", "abort", {SpecLogKind::kAbortRec});
-      ctx.Decide(SpecDecision::kAbort);
-      ctx.DropLocks();
-      ctx.Retire();
+      PresumeAbort(ctx, "sub");
       s->no_votes_used += 1;
       break;
     }
@@ -1754,7 +1704,7 @@ void SpecMachine::Recover(SpecState* s, int proc, SpecEffect* eff) const {
   SpecProc& p = s->procs[static_cast<size_t>(proc)];
   p.crashed = false;
   // Rebuild volatile state from the durable log prefix (the crash already
-  // truncated the log and zeroed the volatile fields).
+  // truncated the log, zeroed the volatile fields and released the locks).
   SpecDecision decided = SpecDecision::kNone;
   bool has_ack_rec = false;
   bool led_round = false;  // Durably started a takeover round of its own.
@@ -1804,7 +1754,6 @@ void SpecMachine::Recover(SpecState* s, int proc, SpecEffect* eff) const {
 
   if (decided == SpecDecision::kCommit) {
     ctx.Decide(SpecDecision::kCommit);  // Stability-checked re-announcement.
-    p.locks = false;
     if (proc == 0 && !HasRec(p, SpecLogKind::kEndRec)) {
       p.phase = SpecPhase::kNotify;  // Re-drive phase 2 until every ack lands.
       p.fanout_sent = false;
@@ -1825,7 +1774,6 @@ void SpecMachine::Recover(SpecState* s, int proc, SpecEffect* eff) const {
   }
   if (decided == SpecDecision::kAbort) {
     ctx.Decide(SpecDecision::kAbort);
-    p.locks = false;
     if (led_round && !HasRec(p, SpecLogKind::kEndRec)) {
       // Same hole on the abort side — and it is not excused by presumed
       // abort: a peer blocked on this completed round cannot inquire without
@@ -1847,26 +1795,18 @@ void SpecMachine::Recover(SpecState* s, int proc, SpecEffect* eff) const {
       if (proc == 0) {
         // No commit record survived: presume abort (the mutation knob flips
         // the presumption to expose why it must be abort).
-        ctx.Spool("coord", "abort", {knobs_.presume_abort_on_unknown
-                                         ? SpecLogKind::kAbortRec
-                                         : SpecLogKind::kCommitRec});
-        ctx.Decide(knobs_.presume_abort_on_unknown ? SpecDecision::kAbort
-                                                   : SpecDecision::kCommit);
-        p.locks = false;
-        p.phase = SpecPhase::kDone;
+        PresumeAbort(ctx, "coord",
+                     knobs_.presume_abort_on_unknown ? SpecDecision::kAbort
+                                                     : SpecDecision::kCommit);
       } else if (prepared && IsUpdateSub(proc)) {
         p.phase = SpecPhase::kPrepared;  // In doubt: re-acquire locks, block.
         p.locks = true;
       } else if (IsUpdateSub(proc)) {
-        ctx.Spool("sub", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        p.locks = false;
-        p.phase = SpecPhase::kDone;
+        PresumeAbort(ctx, "sub");
       } else {
         // A read-only participant made no changes: it forgets the family
         // silently, with nothing externally observable to decide.
-        p.locks = false;
-        p.phase = SpecPhase::kDone;
+        ctx.Retire();
       }
       break;
     case CommitProtocol::kNonBlocking:
@@ -1878,22 +1818,15 @@ void SpecMachine::Recover(SpecState* s, int proc, SpecEffect* eff) const {
       } else if (proc == 0) {
         // No replicate force survived, so no accept quorum can exist: the
         // coordinator may still presume abort safely.
-        ctx.Spool("coord", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        p.locks = false;
-        p.phase = SpecPhase::kDone;
+        PresumeAbort(ctx, "coord");
       } else if (prepared) {
         p.phase = SpecPhase::kPrepared;
         p.locks = IsUpdateSub(proc);
       } else if (IsUpdateSub(proc)) {
-        ctx.Spool("sub", "abort", {SpecLogKind::kAbortRec});
-        ctx.Decide(SpecDecision::kAbort);
-        p.locks = false;
-        p.phase = SpecPhase::kDone;
+        PresumeAbort(ctx, "sub");
       } else {
         // Read-only participant: forget silently (see the 2PC branch).
-        p.locks = false;
-        p.phase = SpecPhase::kDone;
+        ctx.Retire();
       }
       break;
     case CommitProtocol::kPaxos:
@@ -1905,14 +1838,10 @@ void SpecMachine::Recover(SpecState* s, int proc, SpecEffect* eff) const {
       } else if (prepared || p.has_accepted) {
         p.phase = IsUpdateSub(proc) ? SpecPhase::kPrepared : SpecPhase::kRoWait;
         p.locks = IsUpdateSub(proc);
+      } else if (IsUpdateSub(proc)) {
+        PresumeAbort(ctx, "sub");  // Never voted yes durably.
       } else {
-        // Never voted yes durably: presume abort locally.
-        if (IsUpdateSub(proc)) {
-          ctx.Spool("sub", "abort", {SpecLogKind::kAbortRec});
-          ctx.Decide(SpecDecision::kAbort);
-        }
-        p.locks = false;
-        p.phase = SpecPhase::kDone;
+        ctx.Retire();  // Read-only: forget silently (see the 2PC branch).
       }
       break;
   }
@@ -1926,15 +1855,8 @@ SpecMachine::FoldResult SpecMachine::FoldFaultFree(int max_steps) const {
   // Delivery bookkeeping: the state's net is an unordered set, but the
   // fault-free path must process each destination's messages in send order
   // (the runtime transport is FIFO per link), so the fold keeps its own
-  // append-ordered list of every message ever sent.
+  // list of every message ever sent, in send order.
   std::vector<SpecMsg> fifo;
-  auto absorb_new_msgs = [&](const SpecState& before, const SpecState& after) {
-    for (const SpecMsg& m : after.net) {
-      if (!before.HasMsg(m)) {
-        fifo.push_back(m);
-      }
-    }
-  };
 
   // No fault budget: the only moves are rule firings and deliveries.
   SpecBounds fault_free;
@@ -1968,13 +1890,12 @@ SpecMachine::FoldResult SpecMachine::FoldFaultFree(int max_steps) const {
       break;  // Quiescent.
     }
     SpecEffect eff;
-    SpecState next = Apply(s, *pick, &eff);
+    ApplyTo(&s, *pick, &eff);
     for (const auto& kv : eff.counts) {
       res.counts[kv.first] += kv.second;
     }
     res.detail += MoveLabel(*pick) + "\n";
-    absorb_new_msgs(s, next);
-    s = std::move(next);
+    fifo.insert(fifo.end(), eff.sends.begin(), eff.sends.end());
   }
 
   res.complete = res.steps < max_steps && !s.stability_broken;

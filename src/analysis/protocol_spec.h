@@ -23,11 +23,14 @@
 //
 // A variant's rule table composes the coordinator's shared vote-phase steps
 // (CoordinatorStart, CoordinatorVoteRecord, AbortOnNoVote and
-// VoteTimeoutAbort in protocol_spec.cc) with the rules only it has, so a new
-// variant writes only what it does differently. Rule names and each
-// variant's rule order are part of the explored state space: ForEachSuccessor
-// enumerates moves rule by rule, and the checker's digests and violation
-// reports pin both.
+// VoteTimeoutAbort in protocol_spec.cc) with the rules only it has, and rule
+// bodies share the decide-side steps: SpecCtx::Decide releases the locks, one
+// presumed-abort step spools the abort record, decides and retires, and one
+// commit-without-phase-2 step (the runtime's CommitLocalOnly) serves every
+// commit that needs no phase 2. A new variant writes only what it does
+// differently. Rule names and each variant's rule order are part of the
+// explored state space: ForEachSuccessor enumerates moves rule by rule, and
+// the checker's digests and violation reports pin both.
 //
 // Modeling notes, where the spec is deliberately more abstract than the
 // runtime: transitions are atomic (a crash lands between rule firings, never
@@ -215,7 +218,6 @@ struct SpecState {
   bool stability_broken = false;
   uint8_t stability_proc = 0;
 
-  bool HasMsg(const SpecMsg& m) const;
   bool AddMsg(const SpecMsg& m);   // Set-insert; false when already present.
   void EraseMsg(const SpecMsg& m);
 };
@@ -229,8 +231,9 @@ struct SpecEffect {
   // Runtime force points executed, in order: (proc, point) with point like
   // "tm.sub.prepare_force" — crash replay recipes append ".after".
   std::vector<std::pair<int, std::string>> forces;
-  // Datagrams actually inserted (new to the set): (from, wire type name).
-  std::vector<std::pair<int, std::string>> sends;
+  // The messages the move added to the set, in send order: the fold's FIFO
+  // delivery order and the replay recipe's per-sender send ordinals.
+  std::vector<SpecMsg> sends;
 };
 
 // Mutation-facing action API handed to rule bodies. All counting and
@@ -258,11 +261,10 @@ class SpecCtx {
   // destination on first insertion only (matching the ledger's send-once
   // runtime). Self-sends are a modeling error.
   void Send(const char* role, int to, SpecMsg msg);
-  // Record the externally visible decision. Flags decision-stability if an
-  // already-observed decision flips.
+  // Record the externally visible decision and release this site's locks
+  // (kept under the drop_locks_on_decide mutation knob). Flags
+  // decision-stability if an already-observed decision flips.
   void Decide(SpecDecision d);
-  // Release this site's locks (no-op under the keep-locks mutation knob).
-  void DropLocks();
   void Retire() { me().phase = SpecPhase::kDone; }
 
  private:
@@ -333,7 +335,6 @@ class SpecMachine {
   const std::vector<SpecRule>& rules() const { return rules_; }
   int n() const { return scenario_.procs(); }
 
-  bool IsCoordinator(int p) const { return p == 0; }
   bool IsUpdateSub(int p) const { return p >= 1 && p <= scenario_.update_subs; }
   // Paxos: the first min(2F+1, n) participant sites (clamped odd),
   // coordinator first. Empty for other variants.
@@ -396,8 +397,6 @@ class SpecMachine {
   // force+send trails for traces and replay recipes. With no `eff` none of
   // them is built.
   void ApplyTo(SpecState* s, const SpecMove& move, SpecEffect* eff = nullptr) const;
-  // ApplyTo on a copy of `s`; returns the successor.
-  SpecState Apply(const SpecState& s, const SpecMove& move, SpecEffect* eff = nullptr) const;
 
   std::string MoveLabel(const SpecMove& move) const;
 

@@ -58,9 +58,11 @@ void FrontEvents(PathAnalysis* path, TxnKind kind, int subordinates,
   path->events.push_back({"vote local server (local IPC)", c.local_ipc});
 }
 
-// Acceptor-set sizing, mirroring HandleCommit: min(2F+1, participants),
-// clamped odd so quorums are strict majorities of the set.
-int64_t PaxosAcceptorCount(uint32_t paxos_f, int64_t subordinates) {
+// Acceptor-set sizing: min(2F+1, participants), clamped odd so quorums are
+// strict majorities of the set. The runtime and the spec share
+// PaxosAcceptorCount (local_api.h); this hand copy stays independent of it,
+// so the conformance gate checks that one against the hand analysis.
+int64_t HandAcceptorCount(uint32_t paxos_f, int64_t subordinates) {
   int64_t a = std::min<int64_t>(2 * static_cast<int64_t>(paxos_f) + 1, subordinates + 1);
   if (a % 2 == 0) {
     --a;
@@ -75,7 +77,7 @@ PathAnalysis CompletionPath(const CommitOptions& options, TxnKind kind, int subo
   if (options.protocol != CommitProtocol::kPaxos) {
     return CompletionPath(options.protocol, kind, subordinates, c);
   }
-  if (PaxosAcceptorCount(options.paxos_f, subordinates) <= 1) {
+  if (HandAcceptorCount(options.paxos_f, subordinates) <= 1) {
     // Gray & Lamport's degenerate case: F = 0 Paxos Commit IS the optimized
     // two-phase protocol, path for path.
     return CompletionPath(CommitProtocol::kTwoPhase, kind, subordinates, c);
@@ -182,7 +184,7 @@ CountVector ExpectedProtocolCounts(const CommitOptions& options, int update_subs
   }
 
   if (options.protocol == CommitProtocol::kPaxos) {
-    const int64_t a = PaxosAcceptorCount(options.paxos_f, s);
+    const int64_t a = HandAcceptorCount(options.paxos_f, s);
     if (a <= 1) {
       // F_eff = 0: Gray & Lamport's theorem — Paxos Commit with a single
       // acceptor is EXACTLY the optimized two-phase protocol, count for count.

@@ -8,8 +8,6 @@ namespace {
 TraceLevel g_trace_level = TraceLevel::kOff;
 }  // namespace
 
-TraceLevel GetTraceLevel() { return g_trace_level; }
-
 void SetTraceLevel(TraceLevel level) { g_trace_level = level; }
 
 void TraceLine(TraceLevel level, const char* fmt, ...) {

@@ -15,7 +15,6 @@ namespace camelot {
 enum class TraceLevel { kOff = 0, kInfo = 1, kDebug = 2 };
 
 // Global trace verbosity; not thread-safe by design (the DES is single-threaded).
-TraceLevel GetTraceLevel();
 void SetTraceLevel(TraceLevel level);
 
 void TraceLine(TraceLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));

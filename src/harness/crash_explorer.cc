@@ -18,6 +18,10 @@
 namespace camelot {
 namespace {
 
+// Virtual time each heal round gets before re-checking which sites are
+// still down.
+constexpr SimDuration kHealWindow = Sec(3);
+
 std::string Srv(int i) { return "server:" + std::to_string(i); }
 
 // Transfer i's source vault; its destination is Vault(cfg, i + 1).
@@ -305,7 +309,7 @@ RunResult CrashExplorer::Run(const FaultPlan& plan, bool record) {
     for (int i : down) {
       world.Restart(i);
     }
-    world.RunFor(config_.heal_window);
+    world.RunFor(kHealWindow);
   }
   const std::vector<int> still_down = DownSites(world, n);
   for (int i : still_down) {
@@ -346,7 +350,7 @@ RunResult CrashExplorer::Run(const FaultPlan& plan, bool record) {
       for (int i : down) {
         world.Restart(i);
       }
-      world.RunFor(config_.heal_window);
+      world.RunFor(kHealWindow);
     }
   }
 

@@ -66,10 +66,8 @@ struct ExplorerConfig {
   std::vector<int> vaults;
   int64_t initial_balance = 1000;
   int64_t amount = 10;
-  // Virtual time allotted to the workload before healing starts, and to each
-  // heal round before re-checking which sites are still down.
+  // Virtual time allotted to the workload before healing starts.
   SimDuration workload_window = Sec(6);
-  SimDuration heal_window = Sec(3);
   int max_restart_attempts = 4;  // A schedule may crash recovery itself.
   // Non-zero turns on the liveness oracle: at the end of the workload window
   // every network fault is force-healed and unfired arms are disarmed; after

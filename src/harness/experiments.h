@@ -69,16 +69,6 @@ struct ThroughputConfig {
   bool group_commit = true;
   SimDuration duration = Sec(60);
   uint64_t seed = 1;
-  // The VAX 8200 multiprocessor profile: slower IPC, a per-event TranMan CPU
-  // burst, the single-master-processor kernel bottleneck, and the Table-1 raw
-  // disk write time for a log force.
-  SimDuration cpu_per_event = Usec(12000);
-  SimDuration kernel_cpu_per_ipc = Usec(4000);
-  // One log force on the throughput testbed's shared disk: Table 1's 26.8 ms
-  // raw track write plus seek/rotational positioning. Slow enough that the
-  // logger is the update-test bottleneck, as the paper reports.
-  SimDuration force_latency = Usec(50000);
-  double ipc_scale = 3.0;  // VAX 8200 local IPC is ~3x slower than the RT.
 };
 
 struct ThroughputResult {

@@ -117,7 +117,6 @@ void World::Restart(int site_index) {
 }
 
 std::string World::StatsReport() {
-  Table table({"METRIC"});
   std::vector<std::string> headers{"METRIC"};
   for (size_t i = 0; i < sites_.size(); ++i) {
     headers.push_back("site " + std::to_string(i));

@@ -56,9 +56,6 @@ void Site::Restart() {
   net_.RestartSite(id_);
   CTRACE("[%8.1fms] %s RESTART (incarnation %u)", ToMs(sched_.now()), ToString(id_).c_str(),
          incarnation_);
-  for (auto& fn : restart_listeners_) {
-    fn();
-  }
 }
 
 void Site::RegisterService(const std::string& name, Handler handler) {

@@ -80,14 +80,11 @@ class Site {
   // fire (processes close their mailboxes); volatile state is lost by the
   // owning components.
   void Crash();
-  // Restart: bumps the incarnation and fires restart listeners (components
-  // rebuild volatile state and run recovery).
+  // Restart: bumps the incarnation; the world then runs recovery (see
+  // World::Restart).
   void Restart();
 
   void AddCrashListener(std::function<void()> fn) { crash_listeners_.push_back(std::move(fn)); }
-  void AddRestartListener(std::function<void()> fn) {
-    restart_listeners_.push_back(std::move(fn));
-  }
 
   // --- Services ---------------------------------------------------------------
   void RegisterService(const std::string& name, Handler handler);
@@ -122,7 +119,6 @@ class Site {
   uint32_t incarnation_ = 0;
   std::unordered_map<std::string, Handler> services_;
   std::vector<std::function<void()>> crash_listeners_;
-  std::vector<std::function<void()>> restart_listeners_;
 };
 
 }  // namespace camelot

@@ -45,7 +45,6 @@ class SlabPool {
   void* Allocate(size_t size) {
     const int cls = ClassFor(size);
     if (cls < 0) {
-      ++oversize_allocs_;
       return ::operator new(size);
     }
     if (free_[cls] != nullptr) {
@@ -72,7 +71,6 @@ class SlabPool {
   // Observability for the allocation-free-hot-path tests and bench_engine.
   uint64_t fresh_allocs() const { return fresh_allocs_; }
   uint64_t reused() const { return reused_; }
-  uint64_t oversize_allocs() const { return oversize_allocs_; }
 
  private:
   struct FreeBlock {
@@ -100,7 +98,6 @@ class SlabPool {
   FreeBlock* free_[kClasses] = {};
   uint64_t fresh_allocs_ = 0;
   uint64_t reused_ = 0;
-  uint64_t oversize_allocs_ = 0;
 };
 
 // A move-only callable for scheduler events. Callables up to kInlineCapacity

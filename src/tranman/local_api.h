@@ -5,6 +5,8 @@
 #ifndef SRC_TRANMAN_LOCAL_API_H_
 #define SRC_TRANMAN_LOCAL_API_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -50,6 +52,14 @@ struct CommitOptions {
   static CommitOptions NonBlocking() { return {CommitProtocol::kNonBlocking, false, true, 0}; }
   static CommitOptions Paxos(uint32_t f) { return {CommitProtocol::kPaxos, false, true, f}; }
 };
+
+// Paxos Commit's acceptor count for a family with `subordinates` remote
+// participants: min(2F+1, subordinates+1), made odd so that quorums are
+// strict majorities. Computed in 64 bits, so it holds for every F.
+inline int PaxosAcceptorCount(uint32_t f, int subordinates) {
+  const int64_t a = std::min<int64_t>(2 * int64_t{f} + 1, int64_t{subordinates} + 1);
+  return static_cast<int>(a % 2 == 0 ? a - 1 : a);
+}
 
 // The commit variants' names, shared by replay recipes and the model checker:
 // "2pc" (Optimized), "2pc-unopt" (Unoptimized), "2pc-int" (Intermediate),

@@ -970,13 +970,9 @@ Async<RpcResult> TranMan::HandleCommit(const Tid& tid, const CommitOptions& opti
   } else if (options.protocol == CommitProtocol::kNonBlocking) {
     status = co_await CoordinateNonBlocking(fam, subs, local_updates);
   } else if (options.protocol == CommitProtocol::kPaxos) {
-    // Acceptor set: min(2F+1, participants) clamped odd, coordinator first.
-    uint32_t acceptors = std::min<uint32_t>(2 * options.paxos_f + 1,
-                                            static_cast<uint32_t>(subs.size()) + 1);
-    if (acceptors % 2 == 0) {
-      --acceptors;
-    }
-    const uint32_t f_eff = (acceptors - 1) / 2;
+    // Acceptor set: the coordinator first, then the first subordinates.
+    const int acceptors = PaxosAcceptorCount(options.paxos_f, static_cast<int>(subs.size()));
+    const uint32_t f_eff = static_cast<uint32_t>(acceptors - 1) / 2;
     if (f_eff == 0) {
       // Gray & Lamport's theorem in code: Paxos Commit with one acceptor IS
       // the optimized two-phase protocol, so route it literally through the

@@ -5,6 +5,7 @@
 // counterexample minimization, and the seeded spec-mutation kill suite.
 #include "src/analysis/model_checker.h"
 
+#include <algorithm>
 #include <climits>
 #include <cstdlib>
 #include <iterator>
@@ -95,6 +96,29 @@ TEST(SpecScenarioTest, LabelNamesEveryVariant) {
   EXPECT_EQ(label(CommitOptions::Paxos(0), 1, 1, true, kC), "paxos(F=0) u=1 r=1 L=1 commit");
 }
 
+// The acceptor count the runtime and the spec share: min(2F+1, subs+1),
+// made odd, at every F up to UINT32_MAX without overflow. A spec built for
+// F = 2^30 places 3 acceptors on a coordinator and two update subordinates;
+// an overflowing count would make it degenerate to 2PC (0 acceptors).
+TEST(PaxosAcceptorCountTest, ClampsOddAtEveryF) {
+  const uint32_t fs[] = {0, 1, 2, 1u << 30, UINT32_MAX};
+  const int want[][5] = {
+      {1, 1, 1, 1, 1}, {1, 1, 3, 3, 3}, {1, 1, 3, 3, 5}, {1, 1, 3, 3, 5}, {1, 1, 3, 3, 5},
+  };
+  for (size_t i = 0; i < std::size(fs); ++i) {
+    for (int subs = 0; subs <= 4; ++subs) {
+      EXPECT_EQ(PaxosAcceptorCount(fs[i], subs), want[i][subs])
+          << "F=" << fs[i] << " subs=" << subs;
+    }
+  }
+  SpecScenario sc;
+  sc.options = CommitOptions::Paxos(1u << 30);
+  sc.update_subs = 2;
+  const SpecMachine machine(sc);
+  EXPECT_EQ(machine.acceptor_count(), 3);
+  EXPECT_EQ(machine.scenario().options.protocol, CommitProtocol::kPaxos);
+}
+
 struct SafetyCase {
   const char* label;
   const char* variant;
@@ -156,6 +180,21 @@ TEST(ModelChecker, BaselineSafetyExhaustive) {
                         << (res.violation.has_value() ? res.violation->detail : "");
     EXPECT_TRUE(res.complete) << c.label << " should exhaust within "
                               << opt.max_states << " states, saw " << res.states;
+  }
+}
+
+// The state cap counts the initial state, so a cap of n explores exactly n
+// states and reports the run bounded; a cap of 0 still counts the initial one.
+TEST(ModelChecker, StateCapCountsTheInitialState) {
+  const SafetyCase c = QuickSafetyCases()[1];  // 2pc-abort: 300 states.
+  for (const size_t cap : {0u, 1u, 2u, 3u}) {
+    CheckerOptions opt;
+    opt.bounds = c.bounds;
+    opt.max_states = cap;
+    const CheckResult res = CheckSpec(SpecMachine(ScenarioFor(c)), opt);
+    EXPECT_TRUE(res.ok && !res.complete) << cap << ": " << res.Summary();
+    EXPECT_EQ(res.states, std::max<size_t>(cap, 1)) << res.Summary();
+    EXPECT_EQ(res.transitions, res.states - 1) << res.Summary();
   }
 }
 

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/analysis/model_checker.h"
 #include "src/harness/crash_explorer.h"
 #include "src/stats/history.h"
 
@@ -97,6 +100,66 @@ TEST(ReplayRecipeTest, ReadReplayRecipeRejectsBadTokens) {
   EXPECT_FALSE(ReadReplayRecipe(PartitionStudy(), lookup).ok());
   recipe = {{"CAMELOT_PROTOCOL", "3pc"}};
   EXPECT_FALSE(ReadReplayRecipe(ExplorerConfig{}, lookup).ok());
+}
+
+// A recipe's KEY=VALUE tokens, each quoted value unquoted.
+std::map<std::string, std::string> RecipeTokens(const std::string& recipe) {
+  std::map<std::string, std::string> tokens;
+  std::istringstream in(recipe);
+  std::string token;
+  while (in >> token) {
+    const size_t eq = token.find('=');
+    std::string value = token.substr(eq + 1);
+    if (value.size() >= 2 && value.front() == '\'' && value.back() == '\'') {
+      value = value.substr(1, value.size() - 2);
+    }
+    tokens[token.substr(0, eq)] = value;
+  }
+  return tokens;
+}
+
+// The model checker's replay recipes run on the runtime. Each 2PC-family
+// seeded mutation's report whose recipe carries a schedule is read back as
+// an explorer replay and run: every entry must fire, and the run must pass
+// every oracle, because the faithful runtime forces what the mutant spec
+// dropped.
+TEST(ReplayRecipeTest, ModelCheckerRecipesReplayCleanOnTheRuntime) {
+  int scheduled = 0;
+  for (const SeededMutation& m : SeededSpecMutations()) {
+    if (m.scenario.options.protocol != CommitProtocol::kTwoPhase) {
+      continue;
+    }
+    CheckerOptions options;
+    options.bounds = m.bounds;
+    const CheckResult check = CheckSpec(SpecMachine(m.scenario, m.knobs), options);
+    ASSERT_TRUE(check.violation.has_value()) << m.name;
+    const std::string& recipe = check.violation->replay;
+    const std::map<std::string, std::string> tokens = RecipeTokens(recipe);
+    if (!tokens.contains("CAMELOT_SCHEDULE")) {
+      continue;
+    }
+    ++scheduled;
+    const auto lookup = [&tokens](const char* name) -> const char* {
+      const auto it = tokens.find(name);
+      return it == tokens.end() ? nullptr : it->second.c_str();
+    };
+    Result<ExplorerReplay> replay = ReadReplayRecipe(ExplorerConfig{}, lookup);
+    ASSERT_TRUE(replay.ok()) << m.name << ": " << recipe << ": " << replay.status().message();
+    EXPECT_EQ(ProtocolName(replay->config.Options()), ProtocolName(m.scenario.options));
+    const RunResult run = CrashExplorer(replay->config).Run(replay->plan, /*record=*/true);
+    EXPECT_TRUE(run.ok) << m.name << ": " << recipe << "\n" << run.Explain();
+    for (const ScheduleEntry& entry : replay->plan.schedule.entries) {
+      const std::string fired = entry.point + "@" + std::to_string(entry.site.value) + "#" +
+                                std::to_string(entry.hit) + " !" +
+                                FailpointActionName(entry.action);
+      EXPECT_TRUE(std::any_of(run.trace.begin(), run.trace.end(),
+                              [&fired](const std::string& line) { return line.ends_with(fired); }))
+          << m.name << ": " << entry.ToString() << " never fired";
+    }
+  }
+  // At least 2pc and 2pc-unopt, both crashing after the subordinate's
+  // prepare force.
+  EXPECT_GE(scheduled, 2);
 }
 
 TEST(ReplayRecipeTest, FourVariantPrefixAndRecipe) {
