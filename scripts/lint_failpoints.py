@@ -9,9 +9,11 @@ linter extracts both sides and fails on arms that can never fire.
 Registered points (scanned from src/**/*.cc):
   - Eval("name"), AtPoint("name"), AtWritePoint("name"), AtTransition("name")
     literals.
-  - ForceAt("name", ...) and PrepareCoordinator(..., "name") literals, which
-    the runtime expands to "name.before" and "name.after"
-    (src/tranman/tranman.cc).
+  - Every "tm.<...>_force" string literal in src/tranman/: a protocol force
+    point, which ForceAt expands to "name.before" and "name.after". The rule
+    holds however the name reaches ForceAt, directly or as an argument of a
+    shared step (PrepareCoordinator, Accept, CoordinatorCommit, ...), so a
+    new step needs no new pattern.
   - tm.send.<TYPE> for every message-type string in TmMsgTypeName
     (src/tranman/messages.cc); the send path builds these dynamically.
 
@@ -23,9 +25,10 @@ Armed points (scanned from tests/, bench/, src/harness/):
     "tm.prepared@1#1" that code joins to an action later). Relative nemesis
     entries ("+1000=heal") carry no point and are skipped.
   - The model checker's replay recipes (src/analysis/protocol_spec.cc), which
-    it builds at run time: "<point>.after" for every "tm.*" point literal a
-    spec rule passes to Force(...), and tm.send.<TYPE> for every wire name in
-    SpecMsgTypeName.
+    it builds at run time: "<point>.after" for every "tm.<...>_force" string
+    literal there (the same rule: a spec rule passes the point to Force
+    directly or through a shared step), and tm.send.<TYPE> for every wire
+    name in SpecMsgTypeName.
 
 Synthetic names are exempt: unit tests for the failpoint machinery itself arm
 throwaway points on a bare FailpointRegistry. A name is synthetic when it has
@@ -42,14 +45,12 @@ import sys
 from pathlib import Path
 
 EVAL_RE = re.compile(r'\b(?:Eval|AtPoint|AtWritePoint|AtTransition)\(\s*"([^"]+)"')
-FORCE_RE = re.compile(r'\b(?:ForceAt\(\s*|PrepareCoordinator\([^"();]*)"([^"]+)"')
+# A protocol force point: any "tm.<...>_force" string literal.
+FORCE_POINT_RE = re.compile(r'"(tm\.[A-Za-z0-9_.]*_force)"')
 ARM_RE = re.compile(r'\bArm\(\s*"([^"]+)"')
 MSG_TYPE_RE = re.compile(r'return\s+"([^"]+)";')
 # What a wire-name function returns for an out-of-range type.
 UNNAMED_TYPES = ("UNKNOWN", "?")
-# A spec rule's Force(role, phase, "tm.point", rec): the point is the first
-# "tm." literal before the call's closing semicolon.
-SPEC_FORCE_RE = re.compile(r'\bForce\((?:[^;"]|"[^"]*")*?"(tm\.[^"]+)"')
 # One schedule entry or trigger inside any string literal. The name must look
 # like a dotted failpoint (letters/digits/underscore/dot) directly before
 # @site#hit; the "=action" may follow or be absent.
@@ -91,9 +92,11 @@ def message_type_names(path: Path, function: str) -> list[tuple[str, int]]:
 def registered_points(root: Path) -> set[str]:
     points: set[str] = set()
     for path in iter_cc(root, ["src"]):
+        points.update(EVAL_RE.findall(
+            path.read_text(encoding="utf-8", errors="replace")))
+    for path in iter_cc(root, ["src/tranman"]):
         text = path.read_text(encoding="utf-8", errors="replace")
-        points.update(EVAL_RE.findall(text))
-        for name in FORCE_RE.findall(text):
+        for name in FORCE_POINT_RE.findall(text):
             points.add(name + ".before")
             points.add(name + ".after")
     messages = root / "src" / "tranman" / "messages.cc"
@@ -129,7 +132,7 @@ def armed_points(root: Path) -> dict[str, list[str]]:
     spec = root / "src" / "analysis" / "protocol_spec.cc"
     if spec.is_file():
         text = spec.read_text(encoding="utf-8", errors="replace")
-        for m in SPEC_FORCE_RE.finditer(text):
+        for m in FORCE_POINT_RE.finditer(text):
             note(m.group(1) + ".after", spec, text.count("\n", 0, m.start(1)) + 1)
         for name, lineno in message_type_names(spec, "SpecMsgTypeName"):
             note("tm.send." + name, spec, lineno)

@@ -371,6 +371,33 @@ void CommitLocalOnly(SpecCtx& ctx, int tell) {
   ctx.Retire();
 }
 
+// An acceptor's accept of `value` at `epoch` (the runtime's Accept): the
+// forced accept record, the accepted state and a promise of `epoch` (none at
+// ballot 0, whose epoch is 0 here).
+void Accept(SpecCtx& ctx, const char* role, const char* phase, const char* point,
+            uint64_t epoch, SpecDecision value) {
+  ctx.Force(role, phase, point, {SpecLogKind::kAcceptRec, epoch, value});
+  SpecProc& p = ctx.me();
+  p.has_accepted = true;
+  p.accepted_epoch = epoch;
+  p.accepted_value = value;
+  p.promised = std::max(p.promised, epoch);
+}
+
+// The coordinator's commit point (the runtime's CoordinatorCommit): the
+// commit record, forced at `point` or, with no point, spooled; the decision;
+// then the notify phase, whose fan-out coord.notify sends.
+void CoordinatorCommit(SpecCtx& ctx, const char* phase, const char* point) {
+  if (point != nullptr) {
+    ctx.Force("coord", phase, point, {SpecLogKind::kCommitRec});
+  } else {
+    ctx.Spool("coord", phase, {SpecLogKind::kCommitRec});
+  }
+  ctx.Decide(SpecDecision::kCommit);
+  ctx.me().phase = SpecPhase::kNotify;
+  ctx.me().fanout_sent = false;
+}
+
 // The coordinator's shared vote-phase steps. A variant adds each at its own
 // position under the same name; protocol_spec.h says why both matter.
 
@@ -734,13 +761,8 @@ void SpecMachine::BuildTwoPhaseRules() {
         return m.scenario().update_subs > 0 || m.scenario().local_updates;
       },
       [](SpecCtx& ctx, const SpecMsg*) {
-        if (ctx.knobs().force_coordinator_commit) {
-          ctx.Force("coord", "2pc.commit", "tm.2pc.commit_force", {SpecLogKind::kCommitRec});
-        } else {
-          ctx.Spool("coord", "2pc.commit", {SpecLogKind::kCommitRec});
-        }
-        ctx.Decide(SpecDecision::kCommit);
-        ctx.me().phase = SpecPhase::kNotify;
+        CoordinatorCommit(ctx, "2pc.commit",
+                          ctx.knobs().force_coordinator_commit ? "tm.2pc.commit_force" : nullptr);
       }});
 
   // Entirely read-only: no commit record, no phase 2, no end record.
@@ -787,11 +809,7 @@ void SpecMachine::BuildNonBlockingRules() {
         if (ctx.scenario().local_updates) {
           ctx.Force("coord", "nbc.prepare", "tm.nbc.prepare_force", {SpecLogKind::kPrepareRec});
         }
-        ctx.Force("coord", "nbc.replicate", "tm.nbc.replicate_force",
-                  {SpecLogKind::kAcceptRec, 0, SpecDecision::kCommit});
-        ctx.me().has_accepted = true;
-        ctx.me().accepted_epoch = 0;
-        ctx.me().accepted_value = SpecDecision::kCommit;
+        Accept(ctx, "coord", "nbc.replicate", "tm.nbc.replicate_force", 0, SpecDecision::kCommit);
         ctx.me().phase = SpecPhase::kRepWait;
         ctx.me().fanout_sent = false;
       }});
@@ -838,10 +856,7 @@ void SpecMachine::BuildNonBlockingRules() {
                Pop(c.rep_acks) + 1 >= m.commit_quorum();
       },
       [](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Force("coord", "nbc.commit", "tm.nbc.commit_force", {SpecLogKind::kCommitRec});
-        ctx.Decide(SpecDecision::kCommit);
-        ctx.me().phase = SpecPhase::kNotify;
-        ctx.me().fanout_sent = false;
+        CoordinatorCommit(ctx, "nbc.commit", "tm.nbc.commit_force");
       }});
 
   // Both coordinator aborts hold only in the vote wait, before replication.
@@ -927,11 +942,8 @@ void SpecMachine::BuildPaxosRules() {
         return p.voted_mask != 0;
       },
       [](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Force("acceptor", "paxos.accept", "tm.paxos.accept_force",
-                  {SpecLogKind::kAcceptRec, 0, SpecDecision::kCommit});
-        ctx.me().has_accepted = true;
-        ctx.me().accepted_epoch = 0;
-        ctx.me().accepted_value = SpecDecision::kCommit;
+        Accept(ctx, "acceptor", "paxos.accept", "tm.paxos.accept_force", 0,
+               SpecDecision::kCommit);
         SpecMsg a = Mk(SpecMsgType::kPaxosAccepted);
         a.epoch = 0;
         ctx.Send("acceptor", 0, a);
@@ -955,10 +967,7 @@ void SpecMachine::BuildPaxosRules() {
                c.accepted_epoch == 0 && Pop(c.rep_acks) + 1 >= m.commit_quorum();
       },
       [](SpecCtx& ctx, const SpecMsg*) {
-        ctx.Spool("coord", "paxos.commit", {SpecLogKind::kCommitRec});
-        ctx.Decide(SpecDecision::kCommit);
-        ctx.me().phase = SpecPhase::kNotify;
-        ctx.me().fanout_sent = false;
+        CoordinatorCommit(ctx, "paxos.commit", /*point=*/nullptr);
       }});
 
   // Entirely read-only: trivially committed, the lingering read-only remote
@@ -1150,14 +1159,7 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
         if (p.best_has && ctx.knobs().takeover_adopts_accepted_value) {
           value = p.best_value;
         }
-        ctx.Force("takeover", "replicate", "tm.takeover.replicate_force",
-                  {SpecLogKind::kAcceptRec, p.lead_epoch, value});
-        p.has_accepted = true;
-        p.accepted_epoch = p.lead_epoch;
-        p.accepted_value = value;
-        if (p.lead_epoch > p.promised) {
-          p.promised = p.lead_epoch;
-        }
+        Accept(ctx, "takeover", "replicate", "tm.takeover.replicate_force", p.lead_epoch, value);
         p.rep_acks = 0;
         p.phase = SpecPhase::kTakeRepWait;
         p.fanout_sent = false;
@@ -1206,16 +1208,9 @@ void SpecMachine::BuildTakeoverRules(bool paxos) {
         const SpecDecision v = DecisionOf(msg->value);
         // A re-delivered proposal is only re-acked (idempotent).
         if (!p.has_accepted || p.accepted_epoch != msg->epoch || p.accepted_value != v) {
-          const char* role = msg->epoch == 0 ? "sub" : "takeover";
-          const char* phase = msg->epoch == 0 ? "accept.replicate" : "accept.ballot";
-          ctx.Force(role, phase, "tm.accept.replicate_force",
-                    {SpecLogKind::kAcceptRec, msg->epoch, v});
-          p.has_accepted = true;
-          p.accepted_epoch = msg->epoch;
-          p.accepted_value = v;
-          if (msg->epoch > p.promised) {
-            p.promised = msg->epoch;
-          }
+          Accept(ctx, msg->epoch == 0 ? "sub" : "takeover",
+                 msg->epoch == 0 ? "accept.replicate" : "accept.ballot",
+                 "tm.accept.replicate_force", msg->epoch, v);
         }
         SpecMsg ack = Mk(SpecMsgType::kReplicateAck);
         ack.epoch = msg->epoch;

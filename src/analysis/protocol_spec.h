@@ -25,10 +25,13 @@
 // (CoordinatorStart, CoordinatorVoteRecord, AbortOnNoVote and
 // VoteTimeoutAbort in protocol_spec.cc) with the rules only it has, and rule
 // bodies share the decide-side steps: SpecCtx::Decide releases the locks, one
-// presumed-abort step spools the abort record, decides and retires, and one
+// presumed-abort step spools the abort record, decides and retires, one
 // commit-without-phase-2 step (the runtime's CommitLocalOnly) serves every
-// commit that needs no phase 2. A new variant writes only what it does
-// differently. Rule names and each variant's rule order are part of the
+// commit that needs no phase 2, one commit-point step (the runtime's
+// CoordinatorCommit) serves the three coordinators' commit points, and one
+// accept step (the runtime's Accept) writes every accept record. A new
+// variant writes only what it does differently. Rule names and each
+// variant's rule order are part of the
 // explored state space: ForEachSuccessor enumerates moves rule by rule, and
 // the checker's digests and violation reports pin both.
 //

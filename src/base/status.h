@@ -101,14 +101,6 @@ class Result {
   std::optional<T> value_;
 };
 
-#define CAMELOT_RETURN_IF_ERROR(expr)        \
-  do {                                       \
-    ::camelot::Status _st = (expr);          \
-    if (!_st.ok()) {                         \
-      return _st;                            \
-    }                                        \
-  } while (0)
-
 }  // namespace camelot
 
 #endif  // SRC_BASE_STATUS_H_

@@ -27,8 +27,6 @@ struct IpcConfig {
   // Payloads at or above this size use out-of-line transfer.
   size_t out_of_line_threshold = 1024;
 
-  // Base NetMsgServer-to-NetMsgServer RPC round trip (Section 4.1: 19.1 ms).
-  SimDuration netmsg_rpc = Usec(19100);
   // ComMan <-> NetMsgServer IPC, round trip across both sites (Section 4.1: 2 x 1.5 ms).
   SimDuration comman_ipc_total = Usec(3000);
   // ComMan CPU per call at EACH site (Section 4.1: 3.2 ms per site).

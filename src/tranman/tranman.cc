@@ -214,6 +214,18 @@ Async<bool> TranMan::ForceAt(const char* point, const FamilyId& family, Lsn lsn,
   co_return false;
 }
 
+Async<bool> TranMan::Accept(Family* fam, const char* point, SiteId proposer, uint64_t epoch,
+                            TmDecision decision, uint32_t commit_quorum, uint32_t abort_quorum,
+                            bool hold_worker) {
+  fam->has_replication = true;
+  fam->replicated_epoch = epoch;
+  fam->replicated_decision = decision;
+  const Lsn lsn = log_.Append(LogRecord::Replication(fam->top, proposer, epoch,
+                                                     static_cast<uint8_t>(decision), fam->sites,
+                                                     fam->protocol, commit_quorum, abort_quorum));
+  co_return co_await ForceAt(point, fam->top.family, lsn, hold_worker);
+}
+
 void TranMan::RecordDatagram(const TmMsg& msg) {
   const char* role = "peer";
   switch (msg.type) {
@@ -416,24 +428,35 @@ Bytes EncodeBatch(const std::vector<TmMsg>& msgs) {
 
 }  // namespace
 
+template <typename Defer>
+TranMan::SendGate TranMan::GateSend(TmMsgType type, Defer&& defer) {
+  if (!failpoints_.active()) {
+    return SendGate::kTransmit;
+  }
+  const FailpointHit hit = failpoints_.Eval(std::string("tm.send.") + TmMsgTypeName(type));
+  if (!site_.up() || hit.action == FailpointAction::kDrop ||
+      hit.action == FailpointAction::kError) {
+    return SendGate::kLost;  // Crashed at the point, or the datagram is lost.
+  }
+  if (hit.action == FailpointAction::kDelay) {
+    const uint32_t inc = site_.incarnation();
+    site_.sched().Post(hit.delay, [this, inc, retry = defer()]() mutable {
+      if (!Dead(inc)) {
+        retry();
+      }
+    });
+    return SendGate::kDeferred;
+  }
+  return SendGate::kTransmit;
+}
+
 void TranMan::SendMsg(SiteId dst, TmMsg msg) {
   msg.from = site_.id();
-  if (failpoints_.active()) {
-    const FailpointHit hit =
-        failpoints_.Eval(std::string("tm.send.") + TmMsgTypeName(msg.type));
-    if (!site_.up() || hit.action == FailpointAction::kDrop ||
-        hit.action == FailpointAction::kError) {
-      return;  // Crashed at the point, or the datagram is lost.
-    }
-    if (hit.action == FailpointAction::kDelay) {
-      const uint32_t inc = site_.incarnation();
-      site_.sched().Post(hit.delay, [this, dst, inc, delayed = std::move(msg)]() mutable {
-        if (!Dead(inc)) {
-          SendMsg(dst, std::move(delayed));
-        }
-      });
-      return;
-    }
+  const auto defer = [&] {
+    return [this, dst, delayed = std::move(msg)]() mutable { SendMsg(dst, std::move(delayed)); };
+  };
+  if (GateSend(msg.type, defer) != SendGate::kTransmit) {
+    return;
   }
   std::vector<TmMsg> batch{std::move(msg)};
   // Piggyback: queued off-path messages for this destination ride along.
@@ -473,23 +496,13 @@ void TranMan::SendMsgToAll(const std::vector<SiteId>& dsts, TmMsg msg) {
     }
     return;
   }
-  if (failpoints_.active()) {
-    const FailpointHit hit =
-        failpoints_.Eval(std::string("tm.send.") + TmMsgTypeName(msg.type));
-    if (!site_.up() || hit.action == FailpointAction::kDrop ||
-        hit.action == FailpointAction::kError) {
-      return;  // Crashed at the point, or the whole multicast is lost.
-    }
-    if (hit.action == FailpointAction::kDelay) {
-      const uint32_t inc = site_.incarnation();
-      site_.sched().Post(hit.delay,
-                         [this, dsts, inc, delayed = std::move(msg)]() mutable {
-                           if (!Dead(inc)) {
-                             SendMsgToAll(dsts, std::move(delayed));
-                           }
-                         });
-      return;
-    }
+  const auto defer = [&] {
+    return [this, dsts, delayed = std::move(msg)]() mutable {
+      SendMsgToAll(dsts, std::move(delayed));
+    };
+  };
+  if (GateSend(msg.type, defer) != SendGate::kTransmit) {
+    return;  // A lost multicast is lost to every destination.
   }
   for (size_t i = 0; i < dsts.size(); ++i) {
     RecordDatagram(msg);  // One logical datagram per destination.
@@ -529,30 +542,20 @@ void TranMan::FlushOffPath(SiteId dst) {
   if (it == offpath_queue_.end() || it->second.empty()) {
     return;
   }
-  if (failpoints_.active()) {
-    const FailpointHit hit =
-        failpoints_.Eval(std::string("tm.send.") + TmMsgTypeName(it->second.front().type));
-    if (!site_.up()) {
-      return;  // Crashed at the point (the queue died with the site).
-    }
-    // A crash listener or callback may have touched the queue: re-find.
-    it = offpath_queue_.find(dst);
-    if (it == offpath_queue_.end() || it->second.empty()) {
-      return;
-    }
-    if (hit.action == FailpointAction::kDrop || hit.action == FailpointAction::kError) {
-      offpath_queue_.erase(it);  // The whole batch is lost in flight.
-      return;
-    }
-    if (hit.action == FailpointAction::kDelay) {
-      const uint32_t inc = site_.incarnation();
-      site_.sched().Post(hit.delay, [this, dst, inc] {
-        if (!Dead(inc)) {
-          FlushOffPath(dst);
-        }
-      });
-      return;
-    }
+  const SendGate gate = GateSend(it->second.front().type, [this, dst] {
+    return [this, dst] { FlushOffPath(dst); };
+  });
+  if (gate == SendGate::kLost) {
+    // The whole batch is lost in flight (a crash already cleared the queue).
+    offpath_queue_.erase(dst);
+  }
+  if (gate != SendGate::kTransmit) {
+    return;
+  }
+  // A failpoint callback at the point may have flushed the queue: re-find.
+  it = offpath_queue_.find(dst);
+  if (it == offpath_queue_.end() || it->second.empty()) {
+    return;
   }
   std::vector<TmMsg> batch = std::move(it->second);
   offpath_queue_.erase(it);
@@ -1189,8 +1192,17 @@ Async<Status> TranMan::CoordinateTwoPhase(Family* fam, const CommitOptions& opti
   }
 
   // Commit point: force the commit record listing subordinates needing acks.
-  const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, votes.update_subs));
-  if (!co_await ForceAt("tm.2pc.commit_force", fam->top.family, lsn, /*hold_worker=*/true)) {
+  co_return co_await CoordinatorCommit(fam, "2pc.commit", "tm.2pc.commit_force",
+                                       votes.update_subs, votes.update_subs);
+}
+
+Async<Status> TranMan::CoordinatorCommit(Family* fam, const char* phase, const char* point,
+                                         std::vector<SiteId> record_subs,
+                                         std::vector<SiteId> notify) {
+  const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, std::move(record_subs)));
+  if (point == nullptr) {
+    site_.RecordCost(fam->top.family, "coord", phase, CostPrimitive::kLogSpool);
+  } else if (!co_await ForceAt(point, fam->top.family, lsn, /*hold_worker=*/true)) {
     co_return UnavailableError("crashed during commit force");
   }
   if (!Decide(fam, TmDecision::kCommit)) {
@@ -1198,7 +1210,7 @@ Async<Status> TranMan::CoordinateTwoPhase(Family* fam, const CommitOptions& opti
   }
   NotifyServersDropLocks(*fam);
   // Phase 2 is off the completion path: the application's call returns now.
-  site_.sched().Spawn(CoordinatorPhase2(fam->top.family, std::move(votes.update_subs)));
+  site_.sched().Spawn(CoordinatorPhase2(fam->top.family, std::move(notify)));
   co_return OkStatus();
 }
 
@@ -1310,14 +1322,9 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, std::vector<SiteId> su
 
   // Replication phase (change 3): replicate the commit intent until a commit
   // quorum (counting our own forced records) exists.
-  fam->has_replication = true;
-  fam->replicated_epoch = MakeEpoch(0, site_.id());
-  fam->replicated_decision = TmDecision::kCommit;
-  const Lsn rep_lsn = log_.Append(LogRecord::Replication(
-      fam->top, site_.id(), fam->replicated_epoch, static_cast<uint8_t>(TmDecision::kCommit),
-      fam->sites, fam->protocol, fam->commit_quorum, fam->abort_quorum));
-  if (!co_await ForceAt("tm.nbc.replicate_force", fam->top.family, rep_lsn,
-                        /*hold_worker=*/true)) {
+  if (!co_await Accept(fam, "tm.nbc.replicate_force", site_.id(), MakeEpoch(0, site_.id()),
+                       TmDecision::kCommit, fam->commit_quorum, fam->abort_quorum,
+                       /*hold_worker=*/true)) {
     co_return UnavailableError("crashed during replication force");
   }
 
@@ -1329,7 +1336,6 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, std::vector<SiteId> su
   replicate.commit_quorum = fam->commit_quorum;
   replicate.abort_quorum = fam->abort_quorum;
 
-  std::set<SiteId> acked;
   // Read-only subordinates linger as passive acceptors; widen to them if the
   // update subordinates alone cannot form the quorum ("read-only sites...
   // often need not participate in the replication phase" — but when update
@@ -1346,59 +1352,34 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, std::vector<SiteId> su
     targets.insert(targets.end(), readonly_pool.begin(), readonly_pool.end());
     readonly_pool.clear();
   }
-  int rounds = 0;
   SendMsgToAll(targets, replicate);
-  while (acked.size() + 1 < fam->commit_quorum) {
-    FamilyWait wait = co_await AwaitFamily(fam, inc, config_.retry_interval);
-    switch (wait.kind) {
-      case FamilyWait::kGone:
-        co_return UnavailableError("site crashed");
-      case FamilyWait::kCommitted:  // A takeover coordinator beat us to the decision.
-        co_return OkStatus();
-      case FamilyWait::kAborted:
-        co_return AbortedError("aborted by a takeover coordinator");
-      case FamilyWait::kMessage:
-        if (wait.msg.type == TmMsgType::kReplicateAck && wait.msg.epoch == replicate.epoch) {
-          acked.insert(wait.msg.from);
-        }
-        continue;
-      case FamilyWait::kTimeout:
-        break;
-    }
-    ++rounds;
-    if (rounds > 2 && !readonly_pool.empty()) {
-      targets.insert(targets.end(), readonly_pool.begin(), readonly_pool.end());
-      readonly_pool.clear();
-    }
-    if (rounds > config_.max_takeover_rounds) {
-      // Cannot reach a commit quorum (multiple failures / partition): the
-      // takeover machinery (ours, or a subordinate's) finishes the job.
-      co_return ParkInDoubt(fam, inc, "commit quorum unreachable; transaction left prepared");
-    }
-    std::vector<SiteId> missing;
-    for (SiteId s : targets) {
-      if (!acked.contains(s)) {
-        missing.push_back(s);
-      }
-    }
-    SendMsgToAll(missing, replicate);
+  // Past the round budget, the takeover machinery (ours, or a subordinate's)
+  // finishes the job.
+  if (std::optional<Status> done = co_await AwaitQuorum(
+          fam, inc, TmMsgType::kReplicateAck, replicate.epoch,
+          "commit quorum unreachable; transaction left prepared",
+          [&](int round, const std::set<SiteId>& acked) {
+            if (round > 2 && !readonly_pool.empty()) {
+              targets.insert(targets.end(), readonly_pool.begin(), readonly_pool.end());
+              readonly_pool.clear();
+            }
+            std::vector<SiteId> missing;
+            for (SiteId s : targets) {
+              if (!acked.contains(s)) {
+                missing.push_back(s);
+              }
+            }
+            SendMsgToAll(missing, replicate);
+          })) {
+    co_return *done;
   }
 
-  // Commit point: the log write that completes a commit quorum.
-  const Lsn commit_lsn = log_.Append(LogRecord::Commit(fam->top, votes.update_subs));
-  if (!co_await ForceAt("tm.nbc.commit_force", fam->top.family, commit_lsn,
-                        /*hold_worker=*/true)) {
-    co_return UnavailableError("crashed during commit force");
-  }
-  if (!Decide(fam, TmDecision::kCommit)) {
-    co_return UnavailableError("site crashed");
-  }
-  NotifyServersDropLocks(*fam);
-  // Notify phase covers EVERY subordinate still holding state: update subs
-  // write their commit records; read-only passive acceptors tombstone the
-  // outcome (change 4) and ack immediately.
-  site_.sched().Spawn(CoordinatorPhase2(fam->top.family, subs));
-  co_return OkStatus();
+  // Commit point: the log write that completes a commit quorum. The notify
+  // phase covers EVERY subordinate still holding state: update subs write
+  // their commit records; read-only passive acceptors tombstone the outcome
+  // (change 4) and ack immediately.
+  co_return co_await CoordinatorCommit(fam, "nbc.commit", "tm.nbc.commit_force",
+                                       votes.update_subs, subs);
 }
 
 // --- Paxos Commit (Gray & Lamport) ----------------------------------------------------------
@@ -1470,51 +1451,29 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
   }
 
   // Ballot-0 accept at acceptor 0.
-  fam->has_replication = true;
-  fam->replicated_epoch = MakeEpoch(0, site_.id());
-  fam->replicated_decision = TmDecision::kCommit;
-  const Lsn rep_lsn = log_.Append(LogRecord::Replication(
-      fam->top, site_.id(), fam->replicated_epoch, static_cast<uint8_t>(TmDecision::kCommit),
-      fam->sites, CommitProtocol::kPaxos, fam->commit_quorum, fam->abort_quorum));
-  if (!co_await ForceAt("tm.paxos.accept_force", fam->top.family, rep_lsn,
-                        /*hold_worker=*/true)) {
+  if (!co_await Accept(fam, "tm.paxos.accept_force", site_.id(), MakeEpoch(0, site_.id()),
+                       TmDecision::kCommit, fam->commit_quorum, fam->abort_quorum,
+                       /*hold_worker=*/true)) {
     co_return UnavailableError("crashed during accept force");
   }
 
-  // Wait for F more acceptors to report their ballot-0 accepts durable.
-  std::set<SiteId> accepted;
-  int rounds = 0;
-  while (accepted.size() + 1 < fam->commit_quorum) {
-    FamilyWait wait = co_await AwaitFamily(fam, inc, config_.retry_interval);
-    switch (wait.kind) {
-      case FamilyWait::kGone:
-        co_return UnavailableError("site crashed");
-      case FamilyWait::kCommitted:
-        co_return OkStatus();
-      case FamilyWait::kAborted:
-        co_return AbortedError("aborted by a takeover coordinator");
-      case FamilyWait::kMessage:
-        if (wait.msg.type == TmMsgType::kPaxosAccepted &&
-            wait.msg.epoch == fam->replicated_epoch) {
-          accepted.insert(wait.msg.from);
-        }
-        continue;
-      case FamilyWait::kTimeout:
-        break;
-    }
-    ++rounds;
-    if (rounds > config_.max_takeover_rounds) {
-      // More than F acceptors unreachable.
-      co_return ParkInDoubt(fam, inc, "accept quorum unreachable; transaction left prepared");
-    }
-    // Retransmitted prepares make every participant re-vote to the whole
-    // acceptor set, re-feeding any acceptor whose vote copies were lost.
-    SendMsgToAll(subs, prepare);
+  // Wait for F more acceptors to report their ballot-0 accepts durable, each
+  // counted only at this site's current accepted epoch. Past the round
+  // budget more than F acceptors are unreachable. Retransmitted prepares make
+  // every participant re-vote to the whole acceptor set, re-feeding any
+  // acceptor whose vote copies were lost.
+  if (std::optional<Status> done = co_await AwaitQuorum(
+          fam, inc, TmMsgType::kPaxosAccepted, fam->replicated_epoch,
+          "accept quorum unreachable; transaction left prepared",
+          [&](int, const std::set<SiteId>&) { SendMsgToAll(subs, prepare); })) {
+    co_return *done;
   }
 
   // Commit point: F+1 durable accepts decide. The commit record is only
   // spooled — the decision survives any F acceptor crashes without it, and a
-  // recovering leader re-derives it from the acceptor set.
+  // recovering leader re-derives it from the acceptor set. Notify phase:
+  // update subordinates write commit records; read-only acceptors tombstone
+  // the outcome and ack immediately.
   std::vector<SiteId> notify = votes.update_subs;
   for (SiteId s : remote_acceptors) {
     if (std::find(votes.update_subs.begin(), votes.update_subs.end(), s) ==
@@ -1522,16 +1481,7 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
       notify.push_back(s);
     }
   }
-  log_.Append(LogRecord::Commit(fam->top, notify));
-  site_.RecordCost(fam->top.family, "coord", "paxos.commit", CostPrimitive::kLogSpool);
-  if (!Decide(fam, TmDecision::kCommit)) {
-    co_return UnavailableError("site crashed");
-  }
-  NotifyServersDropLocks(*fam);
-  // Notify phase: update subordinates write commit records; read-only
-  // acceptors tombstone the outcome and ack immediately.
-  site_.sched().Spawn(CoordinatorPhase2(fam->top.family, std::move(notify)));
-  co_return OkStatus();
+  co_return co_await CoordinatorCommit(fam, "paxos.commit", /*point=*/nullptr, notify, notify);
 }
 
 Async<void> TranMan::HandlePaxosVote(TmMsg msg) {
@@ -1573,14 +1523,9 @@ Async<void> TranMan::TryFormPaxosAccept(FamilyId family_id, uint32_t inc) {
   // Complete all-yes vote set: form this acceptor's batched ballot-0 accept.
   // has_replication flips before the force so a concurrent vote arrival
   // cannot re-enter.
-  fam->has_replication = true;
-  fam->replicated_epoch = MakeEpoch(0, fam->coordinator);
-  fam->replicated_decision = TmDecision::kCommit;
-  const Lsn lsn = log_.Append(LogRecord::Replication(
-      fam->top, fam->coordinator, fam->replicated_epoch,
-      static_cast<uint8_t>(TmDecision::kCommit), fam->sites, CommitProtocol::kPaxos,
-      fam->commit_quorum, fam->abort_quorum));
-  if (!co_await ForceAt("tm.paxos.accept_force", family_id, lsn, /*hold_worker=*/false)) {
+  if (!co_await Accept(fam, "tm.paxos.accept_force", fam->coordinator,
+                       MakeEpoch(0, fam->coordinator), TmDecision::kCommit, fam->commit_quorum,
+                       fam->abort_quorum, /*hold_worker=*/false)) {
     co_return;
   }
   fam = FindFamily(family_id);
@@ -1999,6 +1944,36 @@ Async<TranMan::FamilyWait> TranMan::AwaitFamily(Family* fam, uint32_t inc, SimDu
   co_return FamilyWait{FamilyWait::kMessage, std::move(*msg)};
 }
 
+Async<std::optional<Status>> TranMan::AwaitQuorum(
+    Family* fam, uint32_t inc, TmMsgType ack, const uint64_t& epoch, const char* why,
+    std::function<void(int round, const std::set<SiteId>& acked)> resend) {
+  std::set<SiteId> acked;
+  int rounds = 0;
+  while (acked.size() + 1 < fam->commit_quorum) {
+    FamilyWait wait = co_await AwaitFamily(fam, inc, config_.retry_interval);
+    switch (wait.kind) {
+      case FamilyWait::kGone:
+        co_return UnavailableError("site crashed");
+      case FamilyWait::kCommitted:  // A takeover coordinator beat us to the decision.
+        co_return OkStatus();
+      case FamilyWait::kAborted:
+        co_return AbortedError("aborted by a takeover coordinator");
+      case FamilyWait::kMessage:
+        if (wait.msg.type == ack && wait.msg.epoch == epoch) {
+          acked.insert(wait.msg.from);
+        }
+        continue;
+      case FamilyWait::kTimeout:
+        break;
+    }
+    if (++rounds > config_.max_takeover_rounds) {
+      co_return ParkInDoubt(fam, inc, why);
+    }
+    resend(rounds, acked);
+  }
+  co_return std::nullopt;
+}
+
 Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
   Family* fam = FindFamily(family_id);
   if (fam == nullptr) {
@@ -2133,14 +2108,8 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
   uint32_t support = proposal == TmDecision::kAbort ? abort_static_support : 0;
   fam->promised_epoch = std::max(fam->promised_epoch, epoch);
   if (self_acceptor) {
-    fam->has_replication = true;
-    fam->replicated_epoch = epoch;
-    fam->replicated_decision = proposal;
-    const Lsn rep_lsn = log_.Append(LogRecord::Replication(fam->top, site_.id(), epoch,
-                                                           static_cast<uint8_t>(proposal),
-                                                           fam->sites, fam->protocol, qc, qa));
-    if (!co_await ForceAt("tm.takeover.replicate_force", fam->top.family, rep_lsn,
-                          /*hold_worker=*/false)) {
+    if (!co_await Accept(fam, "tm.takeover.replicate_force", site_.id(), epoch, proposal, qc, qa,
+                         /*hold_worker=*/false)) {
       co_return true;
     }
     fam = FindFamily(family_id);
@@ -2242,19 +2211,12 @@ Async<void> TranMan::HandleReplicate(TmMsg msg) {
     co_return;  // Promised a newer coordinator; refuse.
   }
   fam->promised_epoch = msg.epoch;
-  fam->has_replication = true;
-  fam->replicated_epoch = msg.epoch;
-  fam->replicated_decision = msg.decision;
   if (msg.commit_quorum != 0) {
     fam->commit_quorum = msg.commit_quorum;
     fam->abort_quorum = msg.abort_quorum;
   }
-  const Lsn lsn = log_.Append(LogRecord::Replication(fam->top, msg.from, msg.epoch,
-                                                     static_cast<uint8_t>(msg.decision),
-                                                     fam->sites, fam->protocol,
-                                                     fam->commit_quorum, fam->abort_quorum));
-  if (!co_await ForceAt("tm.accept.replicate_force", fam->top.family, lsn,
-                        /*hold_worker=*/false)) {
+  if (!co_await Accept(fam, "tm.accept.replicate_force", msg.from, msg.epoch, msg.decision,
+                       fam->commit_quorum, fam->abort_quorum, /*hold_worker=*/false)) {
     co_return;
   }
   TmMsg ack;

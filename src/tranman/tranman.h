@@ -29,8 +29,10 @@
 #ifndef SRC_TRANMAN_TRANMAN_H_
 #define SRC_TRANMAN_TRANMAN_H_
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -161,7 +163,8 @@ class TranMan {
   //     force (local commit, 2PC commit, subordinate prepare/commit/ack,
   //     NBC prepare/replicate/commit, takeover replicate/commit, acceptor
   //     replicate);
-  //   tm.send.<MsgType> — before each datagram send (crash/drop/delay/error);
+  //   tm.send.<MsgType> — GateSend, before each datagram send
+  //     (crash/drop/delay/error);
   //   tm.prepared / tm.committed / tm.aborted — just before the family's
   //     state transition is applied (Decide). Three aborts of a family that
   //     never prepared evaluate no point: a subordinate refusing a PREPARE,
@@ -288,6 +291,19 @@ class TranMan {
   };
   Async<VoteRound> GatherVotes(Family* fam, const TmMsg& prepare_template,
                                const std::vector<SiteId>& subs);
+  // A coordinator's wait for its commit quorum (NBC's replicate acks, Paxos's
+  // accepts): counts the senders of `ack` at `epoch`, read at each arrival.
+  // Each silent retry_interval is a round, resent by resend(round, acked);
+  // past max_takeover_rounds it parks in doubt with `why`. Empty once the
+  // quorum forms, else the status for the coordinator to return.
+  Async<std::optional<Status>> AwaitQuorum(
+      Family* fam, uint32_t inc, TmMsgType ack, const uint64_t& epoch, const char* why,
+      std::function<void(int round, const std::set<SiteId>& acked)> resend);
+  // Every coordinator's commit point: the commit record listing
+  // `record_subs`, forced at `point` or, with no point, spooled as `phase`;
+  // then Decide, the lock drop and phase 2 to `notify`.
+  Async<Status> CoordinatorCommit(Family* fam, const char* phase, const char* point,
+                                  std::vector<SiteId> record_subs, std::vector<SiteId> notify);
   Async<void> CoordinatorPhase2(FamilyId family, std::vector<SiteId> update_subs);
   Async<void> AbortDistributed(Family* fam, const std::vector<SiteId>& notify);
   // A coordinator that cannot decide (votes incomplete, superseded, or no
@@ -316,6 +332,12 @@ class TranMan {
   // ballot-0 accept (forced replication record + PAXOS-ACCEPTED to the leader).
   Async<void> HandlePaxosVote(TmMsg msg);
   Async<void> TryFormPaxosAccept(FamilyId family_id, uint32_t inc);
+  // Every accept: the family's accepted state, its replication record and
+  // the force at `point`. Promises stay with the callers: a coordinator's
+  // ballot-0 epoch, MakeEpoch(0, site), is non-zero on any site but 0.
+  Async<bool> Accept(Family* fam, const char* point, SiteId proposer, uint64_t epoch,
+                     TmDecision decision, uint32_t commit_quorum, uint32_t abort_quorum,
+                     bool hold_worker);
   // What one receive on a family's protocol inbox came to (AwaitFamily).
   struct FamilyWait {
     enum Kind {
@@ -355,6 +377,12 @@ class TranMan {
   // --- Datagram layer -----------------------------------------------------------------
   void OnDatagram(Datagram dg);
   Async<void> DispatchMsg(TmMsg msg);
+  // The tm.send.<TYPE> gate of every transmit: kLost on a crash at the point,
+  // a drop or an error; kDeferred on a delay, once defer()'s retry is posted
+  // (it runs only in the same incarnation). Only a delay calls defer.
+  enum class SendGate { kTransmit, kLost, kDeferred };
+  template <typename Defer>
+  SendGate GateSend(TmMsgType type, Defer&& defer);
   // Sends a (critical-path) message now; any queued off-path messages for the
   // same destination ride along in the same datagram.
   void SendMsg(SiteId dst, TmMsg msg);

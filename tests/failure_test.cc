@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/harness/world.h"
 
@@ -90,6 +91,31 @@ Async<Status> TransferTxn(AppClient& app, const std::string& from_srv,
   }
   Status st = co_await app.Commit(tid, options);
   co_return st;
+}
+
+// Writes `acct` at every site in one transaction and commits it.
+Async<void> WriteEverySite(Rig& r, CommitOptions options) {
+  auto begin = co_await r.app.Begin();
+  const Tid tid = *begin;
+  for (int i = 0; i < r.world.site_count(); ++i) {
+    co_await r.app.WriteInt(tid, Rig::ServerName(i), "acct", 55);
+  }
+  co_await r.app.Commit(tid, options);
+}
+
+// At the first hit of "<point>.before" on `site`, notes the site's idle
+// workers and appends to `held` whether one fewer is idle once the force is
+// in flight (a zero-delay event runs after the force has suspended).
+void ProbeWorkerHold(Rig& rig, const std::string& point, int site, std::vector<bool>* held) {
+  rig.world.failpoints().Arm(
+      point + ".before", SiteId{static_cast<uint32_t>(site)},
+      FailpointArm::Callback(1, [&rig, site, held] {
+        WorkerPool& pool = rig.world.site(site).tranman().pool();
+        const size_t idle = pool.available();
+        rig.world.sched().Post(0, [&pool, idle, held] {
+          held->push_back(pool.available() < idle);
+        });
+      }));
 }
 
 TEST(FailureTest, CrashBeforeCommitPresumesAbortEverywhere) {
@@ -259,6 +285,160 @@ TEST(FailureTest, NonBlockingTakeoverCountsUnknownAnswersTowardAbort) {
   rig.world.RunUntilIdle();
   EXPECT_EQ(rig.ReadAcct(0), 100);
   EXPECT_EQ(rig.world.site(0).tranman().live_family_count(), 0u);
+}
+
+TEST(FailureTest, NonBlockingReadOnlySubordinatesStartNoTakeover) {
+  // Every subordinate only reads and the coordinator writes, so the local
+  // commit record alone decides (CommitLocalOnly); the coordinator dies at
+  // the brink of that force. The spec's take.start lets a read-only
+  // participant awaiting its tombstone start a takeover, but the runtime's
+  // read-only subordinates are passive acceptors: no inbox, no
+  // SubordinateWait, and the SITE-UP and topology probes skip them. So none
+  // starts a takeover while the coordinator is down, and the sites that
+  // decide agree once it is back.
+  Rig rig(FailConfig(3));
+  rig.CrashAt("tm.local.commit_force.before", 0);
+  rig.world.sched().Spawn([](Rig& r) -> Async<void> {
+    auto begin = co_await r.app.Begin();
+    const Tid tid = *begin;
+    co_await r.app.WriteInt(tid, Rig::ServerName(0), "acct", 55);
+    co_await r.app.ReadInt(tid, Rig::ServerName(1), "acct");
+    co_await r.app.ReadInt(tid, Rig::ServerName(2), "acct");
+    co_await r.app.Commit(tid, CommitOptions::NonBlocking());
+  }(rig));
+  rig.world.RunFor(Sec(30));
+
+  ASSERT_FALSE(rig.world.site(0).site().up());
+  const FamilyId family{SiteId{0}, 1};
+  for (int i = 1; i < 3; ++i) {
+    const TranMan& tm = rig.world.site(i).tranman();
+    EXPECT_EQ(tm.counters().read_only_votes, 1u) << i;
+    EXPECT_EQ(tm.counters().takeovers, 0u) << i;
+    EXPECT_EQ(tm.QueryState(family), TmTxnState::kPrepared) << i;
+    EXPECT_EQ(rig.server(i)->locks().held_lock_count(), 0u) << i;
+  }
+
+  rig.world.Restart(0);
+  rig.world.RunUntilIdle();
+  std::optional<TmTxnState> outcome;
+  for (int i = 0; i < 3; ++i) {
+    const TmTxnState state = rig.world.site(i).tranman().QueryState(family);
+    if (state != TmTxnState::kCommitted && state != TmTxnState::kAborted) {
+      continue;
+    }
+    if (!outcome.has_value()) {
+      outcome = state;
+    }
+    EXPECT_EQ(state, *outcome) << i;
+  }
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(rig.ReadAcct(0), *outcome == TmTxnState::kCommitted ? 55 : 100);
+}
+
+TEST(FailureTest, ForcesHoldAWorkerWhereTheModelSaysSo) {
+  // A coordinator's forces and an update subordinate's prepare and commit
+  // forces occupy a worker for their whole duration (Section 3.4); an
+  // acceptor's accept outside the coordinator, the takeover's included, does
+  // not. The shared Accept and CoordinatorCommit steps take the hold as an
+  // argument, and no trace digest sees it while workers are idle.
+  struct Probe {
+    CommitOptions options;
+    const char* point;
+    int site;
+    bool held;
+  };
+  const Probe probes[] = {
+      {CommitOptions::Optimized(), "tm.2pc.commit_force", 0, true},
+      {CommitOptions::Optimized(), "tm.sub.prepare_force", 1, true},
+      {CommitOptions::Unoptimized(), "tm.sub.commit_force", 1, true},
+      {CommitOptions::NonBlocking(), "tm.nbc.prepare_force", 0, true},
+      {CommitOptions::NonBlocking(), "tm.nbc.replicate_force", 0, true},
+      {CommitOptions::NonBlocking(), "tm.nbc.commit_force", 0, true},
+      {CommitOptions::NonBlocking(), "tm.accept.replicate_force", 1, false},
+      {CommitOptions::Paxos(1), "tm.paxos.prepare_force", 0, true},
+      {CommitOptions::Paxos(1), "tm.paxos.accept_force", 0, true},
+      {CommitOptions::Paxos(1), "tm.paxos.accept_force", 1, false},
+  };
+  for (const Probe& probe : probes) {
+    Rig rig(FailConfig(3));
+    std::vector<bool> held;
+    ProbeWorkerHold(rig, probe.point, probe.site, &held);
+    rig.world.sched().Spawn(WriteEverySite(rig, probe.options));
+    rig.world.RunUntilIdle();
+    ASSERT_EQ(held.size(), 1u) << probe.point << "@" << probe.site;
+    EXPECT_EQ(held[0], probe.held) << probe.point << "@" << probe.site;
+  }
+
+  // The subordinates take over from a coordinator that died at its commit
+  // force; their own accepts hold no worker.
+  Rig rig(FailConfig(3));
+  rig.CrashAt("tm.nbc.commit_force.before", 0);
+  std::vector<bool> held;
+  for (int site = 1; site < 3; ++site) {
+    ProbeWorkerHold(rig, "tm.takeover.replicate_force", site, &held);
+  }
+  rig.world.sched().Spawn(WriteEverySite(rig, CommitOptions::NonBlocking()));
+  rig.world.RunUntilIdle();
+  ASSERT_FALSE(held.empty());
+  for (const bool h : held) {
+    EXPECT_FALSE(h);
+  }
+}
+
+TEST(FailureTest, NonBlockingCoordinatorCountsAcksAtTheEpochItReplicated) {
+  // Site 1 loses its ack of the coordinator's epoch-0 REPLICATE and site 2's
+  // is held 500 ms; the coordinator's resends are lost. Site 1 times out,
+  // takes over at a higher ballot, and the coordinator accepts it; site 1's
+  // COMMIT and site 2's first takeover read are lost. Site 2's held ack then
+  // completes the coordinator's quorum: an NBC coordinator counts acks at
+  // the epoch it replicated, not at its live accepted epoch (AwaitQuorum),
+  // so it reaches its own commit point.
+  Rig rig(FailConfig(3));
+  FailpointRegistry& fp = rig.world.failpoints();
+  fp.Arm("tm.send.REPLICATE-ACK", SiteId{1}, FailpointArm::Drop(1));
+  fp.Arm("tm.send.REPLICATE-ACK", SiteId{2}, FailpointArm::Delay(1, Msec(500)));
+  for (uint64_t hit = 2; hit <= 4; ++hit) {
+    fp.Arm("tm.send.REPLICATE", SiteId{0}, FailpointArm::Drop(hit));
+  }
+  fp.Arm("tm.send.COMMIT", SiteId{1}, FailpointArm::Drop(1));
+  fp.Arm("tm.send.STATUS-REQ", SiteId{2}, FailpointArm::Drop(1));
+  rig.world.sched().Spawn(WriteEverySite(rig, CommitOptions::NonBlocking()));
+  rig.world.RunUntilIdle();
+
+  EXPECT_EQ(rig.world.site(1).tranman().counters().takeovers, 1u);
+  EXPECT_EQ(fp.hits("tm.accept.replicate_force.before", SiteId{0}), 1u);
+  EXPECT_EQ(fp.hits("tm.nbc.commit_force.before", SiteId{0}), 1u);
+  const FamilyId family{SiteId{0}, 1};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(rig.world.site(i).tranman().QueryState(family), TmTxnState::kCommitted) << i;
+    EXPECT_EQ(rig.ReadAcct(i), 55) << i;
+  }
+}
+
+TEST(FailureTest, DelayedSendDiesWithItsIncarnation) {
+  // The coordinator's PREPARE is held 400 ms at its tm.send point. Its
+  // retransmit 300 ms later crashes the site, which restarts 50 ms after
+  // that, so the held PREPARE comes due in the next incarnation. The send
+  // gate must drop it: the restarted coordinator presumed the family
+  // aborted, and the subordinate may learn of it only from its orphan watch.
+  Rig rig(FailConfig(2));
+  rig.world.failpoints().Arm("tm.send.PREPARE", SiteId{0}, FailpointArm::Delay(1, Msec(400)));
+  rig.world.failpoints().Arm("tm.send.PREPARE", SiteId{0}, FailpointArm::Callback(2, [&rig] {
+                               rig.world.Crash(0);
+                               rig.world.sched().Post(Msec(50), [&rig] { rig.world.Restart(0); });
+                             }));
+  rig.world.sched().Spawn([](Rig& r) -> Async<void> {
+    co_await TransferTxn(r.app, Rig::ServerName(0), Rig::ServerName(1), 10,
+                         CommitOptions::Optimized());
+  }(rig));
+  rig.world.RunUntilIdle();
+
+  EXPECT_EQ(rig.world.failpoints().hits("tm.send.PREPARE", SiteId{0}), 2u);
+  EXPECT_EQ(rig.world.site(1).tranman().counters().prepares_handled, 0u);
+  EXPECT_EQ(rig.world.site(1).tranman().counters().orphans_aborted, 1u);
+  EXPECT_EQ(rig.server(1)->locks().held_lock_count(), 0u);
+  EXPECT_EQ(rig.ReadAcct(0), 100);
+  EXPECT_EQ(rig.ReadAcct(1), 100);
 }
 
 TEST(FailureTest, NonBlockingSurvivesPartitionOfCoordinator) {
