@@ -18,7 +18,13 @@ Registered points (scanned from src/**/*.cc):
     (src/tranman/messages.cc); the send path builds these dynamically.
 
 Armed points (scanned from tests/, bench/, src/harness/):
-  - Arm("name", ...) literals.
+  - Arm("name", ...) literals, and the literals of test helpers that arm
+    for their caller: CrashAt("name", site) arms the name as written;
+    ProbeWorkerHold(rig, "name", site) arms "name.before", so its literal
+    must be a force point.
+  - Every "tm.<...>_force" string literal in tests/: a force point a test
+    probes through a helper (the ProbeWorkerHold tables), armed as
+    "name.before".
   - Schedule-grammar string literals: every "point@site#hit" inside a string,
     with or without its "=action" (the CrashSchedule / NemesisScript /
     CAMELOT_SCHEDULE grammar, and bare nemesis triggers such as
@@ -47,7 +53,8 @@ from pathlib import Path
 EVAL_RE = re.compile(r'\b(?:Eval|AtPoint|AtWritePoint|AtTransition)\(\s*"([^"]+)"')
 # A protocol force point: any "tm.<...>_force" string literal.
 FORCE_POINT_RE = re.compile(r'"(tm\.[A-Za-z0-9_.]*_force)"')
-ARM_RE = re.compile(r'\bArm\(\s*"([^"]+)"')
+ARM_RE = re.compile(r'\b(?:Arm|CrashAt)\(\s*"([^"]+)"')
+PROBE_RE = re.compile(r'\bProbeWorkerHold\(\s*[^,()]+,\s*"([^"]+)"')
 MSG_TYPE_RE = re.compile(r'return\s+"([^"]+)";')
 # What a wire-name function returns for an out-of-range type.
 UNNAMED_TYPES = ("UNKNOWN", "?")
@@ -123,11 +130,14 @@ def armed_points(root: Path) -> dict[str, list[str]]:
             # are not arms; skip pure comment lines.
             if LINE_COMMENT_RE.match(line):
                 continue
-            for m in ARM_RE.finditer(line):
-                note(m.group(1), path, lineno)
+            names = set(ARM_RE.findall(line))
+            names.update(name + ".before" for name in PROBE_RE.findall(line))
+            if path.is_relative_to(root / "tests"):
+                names.update(name + ".before" for name in FORCE_POINT_RE.findall(line))
             for s in STRING_RE.finditer(line):
-                for m in SCHEDULE_ENTRY_RE.finditer(s.group(1)):
-                    note(m.group(1), path, lineno)
+                names.update(SCHEDULE_ENTRY_RE.findall(s.group(1)))
+            for name in sorted(names):
+                note(name, path, lineno)
 
     spec = root / "src" / "analysis" / "protocol_spec.cc"
     if spec.is_file():

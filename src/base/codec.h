@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,25 +18,34 @@ namespace camelot {
 
 using Bytes = std::vector<uint8_t>;
 
-// CRC32 (Castagnoli polynomial, bitwise implementation; speed is irrelevant here).
+// CRC32C (Castagnoli polynomial), table-driven: every log append and log
+// read checksums its record with it.
 uint32_t Crc32(const uint8_t* data, size_t len);
-inline uint32_t Crc32(const Bytes& b) { return Crc32(b.data(), b.size()); }
+inline uint32_t Crc32(std::span<const uint8_t> b) { return Crc32(b.data(), b.size()); }
 
+// Builds one encoded message. Bytes accumulate in an inline buffer, which
+// holds every message on the simulator's hot paths, and Take() hands them out
+// in one allocation of the exact size. A message that outgrows the buffer
+// continues in a heap buffer that doubles as it grows.
 class ByteWriter {
  public:
-  void U8(uint8_t v) { out_.push_back(v); }
-  void U16(uint16_t v) { AppendLe(&v, 2); }
-  void U32(uint32_t v) { AppendLe(&v, 4); }
-  void U64(uint64_t v) { AppendLe(&v, 8); }
+  ByteWriter() = default;
+  ByteWriter(const ByteWriter&) = delete;
+  ByteWriter& operator=(const ByteWriter&) = delete;
+
+  void U8(uint8_t v) { Append(&v, 1); }
+  void U16(uint16_t v) { Append(&v, 2); }
+  void U32(uint32_t v) { Append(&v, 4); }
+  void U64(uint64_t v) { Append(&v, 8); }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
 
   void Blob(const Bytes& b) {
     U32(static_cast<uint32_t>(b.size()));
-    out_.insert(out_.end(), b.begin(), b.end());
+    Append(b.data(), b.size());
   }
   void Str(const std::string& s) {
     U32(static_cast<uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    Append(s.data(), s.size());
   }
 
   void Site(SiteId s) { U32(s.value); }
@@ -54,18 +65,49 @@ class ByteWriter {
     }
   }
 
-  const Bytes& bytes() const { return out_; }
-  Bytes Take() { return std::move(out_); }
-  size_t size() const { return out_.size(); }
-
- private:
-  void AppendLe(const void* p, size_t n) {
-    // Host is little-endian on all supported platforms; memcpy keeps it simple.
-    const auto* src = static_cast<const uint8_t*>(p);
-    out_.insert(out_.end(), src, src + n);
+  // The bytes written so far; valid until the next write or Take().
+  std::span<const uint8_t> bytes() const { return {data_, size_}; }
+  size_t size() const { return size_; }
+  // The message, in a vector of exactly size() bytes; leaves the writer empty.
+  Bytes Take() {
+    Bytes out(data_, data_ + size_);
+    size_ = 0;
+    return out;
   }
 
-  Bytes out_;
+ private:
+  static constexpr size_t kInlineBytes = 256;
+
+  // Host is little-endian on all supported platforms, so integers are copied
+  // as they lie in memory.
+  void Append(const void* p, size_t n) {
+    if (n == 0) {
+      return;  // An empty blob's data() may be null.
+    }
+    if (n > capacity_ - size_) {
+      Grow(n);
+    }
+    std::memcpy(data_ + size_, p, n);
+    size_ += n;
+  }
+
+  void Grow(size_t n) {
+    size_t capacity = capacity_ * 2;
+    while (capacity - size_ < n) {
+      capacity *= 2;
+    }
+    auto grown = std::make_unique_for_overwrite<uint8_t[]>(capacity);
+    std::memcpy(grown.get(), data_, size_);
+    heap_ = std::move(grown);
+    data_ = heap_.get();
+    capacity_ = capacity;
+  }
+
+  uint8_t inline_[kInlineBytes] = {};
+  std::unique_ptr<uint8_t[]> heap_;
+  uint8_t* data_ = inline_;
+  size_t size_ = 0;
+  size_t capacity_ = kInlineBytes;
 };
 
 // Reader with explicit failure state: any over-read marks the reader failed and
@@ -73,6 +115,7 @@ class ByteWriter {
 class ByteReader {
  public:
   explicit ByteReader(const Bytes& data) : data_(data.data()), size_(data.size()) {}
+  explicit ByteReader(std::span<const uint8_t> data) : data_(data.data()), size_(data.size()) {}
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
   uint8_t U8() { return Fixed<uint8_t>(); }

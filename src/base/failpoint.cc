@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+
+#include "src/base/logging.h"
 
 namespace camelot {
 
@@ -51,7 +54,7 @@ void FailpointRegistry::Reset() {
 void FailpointRegistry::set_recording(bool on) { recording_ = on; }
 
 FailpointRegistry::SiteState* FailpointRegistry::Find(std::string_view point, SiteId site) {
-  auto it = points_.find(std::string(point));
+  auto it = points_.find(point);
   if (it == points_.end() || it->second.size() <= site.value) {
     return nullptr;
   }
@@ -67,7 +70,11 @@ FailpointHit FailpointRegistry::Eval(std::string_view point, SiteId site, SimTim
   if (!active()) {
     return {};
   }
-  PointState& state = points_[std::string(point)];
+  auto it = points_.find(point);
+  if (it == points_.end()) {
+    it = points_.emplace(std::string(point), PointState{}).first;
+  }
+  PointState& state = it->second;
   if (state.size() <= site.value) {
     state.resize(site.value + 1);
   }
@@ -155,6 +162,17 @@ FailpointHit Failpoints::Eval(std::string_view point) const {
     crash_site_();
   }
   return hit;
+}
+
+FailpointHit Failpoints::Eval(std::string_view prefix, std::string_view suffix) const {
+  if (!active()) {
+    return {};
+  }
+  char name[128];
+  CAMELOT_CHECK(prefix.size() + suffix.size() <= sizeof(name));
+  std::memcpy(name, prefix.data(), prefix.size());
+  std::memcpy(name + prefix.size(), suffix.data(), suffix.size());
+  return Eval(std::string_view(name, prefix.size() + suffix.size()));
 }
 
 // --- Schedule strings ------------------------------------------------------------

@@ -136,10 +136,17 @@ class FailpointRegistry {
   // Site states indexed by SiteId value (grown on demand).
   using PointState = std::vector<SiteState>;
 
+  // Lets points_ be probed with a string_view, so an evaluation builds no
+  // key string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const { return std::hash<std::string_view>{}(name); }
+  };
+
   SiteState* Find(std::string_view point, SiteId site);
   const SiteState* Find(std::string_view point, SiteId site) const;
 
-  std::unordered_map<std::string, PointState> points_;
+  std::unordered_map<std::string, PointState, NameHash, std::equal_to<>> points_;
   size_t armed_count_ = 0;  // Unfired arms across all points.
   bool recording_ = false;
   std::vector<std::string> trace_;
@@ -167,6 +174,9 @@ class Failpoints {
   // returns; a kCallback trigger has already run. The caller honors
   // kDrop / kDelay / kError according to the point's semantics.
   FailpointHit Eval(std::string_view point) const;
+  // Evaluates the point named `prefix` + `suffix` (a force point's ".before"
+  // or ".after", a send gate's message type), joined on the stack.
+  FailpointHit Eval(std::string_view prefix, std::string_view suffix) const;
 
  private:
   FailpointRegistry* registry_ = nullptr;

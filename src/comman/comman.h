@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/ipc/name_service.h"
@@ -76,7 +77,7 @@ class ComMan {
   std::unordered_map<FamilyId, std::set<SiteId>> involved_;
   // First-observed incarnation of each participant, per family.
   std::unordered_map<FamilyId, std::unordered_map<SiteId, uint32_t>> incarnations_;
-  std::set<FamilyId> poisoned_;
+  std::unordered_set<FamilyId> poisoned_;
 };
 
 }  // namespace camelot

@@ -403,7 +403,7 @@ bool DiskManager::SaveToFile(const std::string& path) const {
     w.Str(key);
     w.Blob(page.data);
   }
-  const Bytes& image = w.bytes();
+  const std::span<const uint8_t> image = w.bytes();
   ByteWriter trailer;
   trailer.U32(Crc32(image));
   std::FILE* f = std::fopen(path.c_str(), "wb");

@@ -70,8 +70,7 @@ Async<Status> LockManager::Acquire(const Tid& tid, const std::string& object, Lo
   }
   auto it = locks_.find(object);
   if (it != locks_.end()) {
-    auto& q = it->second.waiters;
-    q.erase(std::remove(q.begin(), q.end(), waiter), q.end());
+    it->second.waiters.erase_if([&](const std::shared_ptr<Waiter>& w) { return w == waiter; });
     // Our departure may unblock others (e.g. an S behind our X).
     GrantWaiters(object, it->second);
     EraseIfFree(object);

@@ -20,7 +20,6 @@
 #ifndef SRC_LOCKMGR_LOCK_MANAGER_H_
 #define SRC_LOCKMGR_LOCK_MANAGER_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -29,6 +28,7 @@
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/sim/channel.h"
+#include "src/sim/fifo.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
 
@@ -94,7 +94,7 @@ class LockManager {
   };
   struct LockState {
     std::vector<Holder> holders;
-    std::deque<std::shared_ptr<Waiter>> waiters;
+    Fifo<std::shared_ptr<Waiter>> waiters;
   };
 
   // Whether `tid` may hold `object` in `mode` alongside the current holders.

@@ -20,9 +20,9 @@
 #define SRC_SERVER_DATA_SERVER_H_
 
 #include <deque>
-#include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/base/failpoint.h"
@@ -127,7 +127,7 @@ class DataServer {
   ServerConfig config_;
   LockManager locks_;
   std::unordered_map<FamilyId, FamilyState> families_;
-  std::set<FamilyId> concluded_;
+  std::unordered_set<FamilyId> concluded_;
   std::deque<FamilyId> concluded_order_;
   ServerCounters counters_;
   Failpoints failpoints_;

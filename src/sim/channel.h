@@ -11,11 +11,11 @@
 #define SRC_SIM_CHANNEL_H_
 
 #include <coroutine>
-#include <deque>
 #include <memory>
 #include <optional>
 
 #include "src/base/logging.h"
+#include "src/sim/fifo.h"
 #include "src/sim/scheduler.h"
 
 namespace camelot {
@@ -40,8 +40,7 @@ class Channel {
     }
     // Hand off to the oldest live waiter, if any.
     while (!waiters_.empty()) {
-      auto waiter = waiters_.front();
-      waiters_.pop_front();
+      std::shared_ptr<Waiter> waiter = waiters_.pop_front();
       if (waiter->state != WaiterState::kPending) {
         continue;  // Timed out; its resume is already scheduled.
       }
@@ -128,26 +127,19 @@ class Channel {
       }
       // Fast path: never suspended.
       if (!ch->items_.empty()) {
-        std::optional<T> out(std::move(ch->items_.front()));
-        ch->items_.pop_front();
-        return out;
+        return ch->items_.pop_front();
       }
       return std::nullopt;  // Closed.
     }
   };
 
   void RemoveWaiter(const Waiter* w) {
-    for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-      if (it->get() == w) {
-        waiters_.erase(it);
-        return;
-      }
-    }
+    waiters_.erase_if([w](const std::shared_ptr<Waiter>& x) { return x.get() == w; });
   }
 
   Scheduler* sched_;
-  std::deque<T> items_;
-  std::deque<std::shared_ptr<Waiter>> waiters_;
+  Fifo<T> items_;
+  Fifo<std::shared_ptr<Waiter>> waiters_;
   size_t high_watermark_ = 0;
   bool closed_ = false;
 };

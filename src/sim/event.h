@@ -15,17 +15,29 @@
 #ifndef SRC_SIM_EVENT_H_
 #define SRC_SIM_EVENT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace camelot {
 
-// Size-classed free list for oversized event captures. Owned by one Scheduler
-// and used only from that scheduler's (single) host thread; blocks are
-// returned to the pool when the event is destroyed and reused by later posts.
+// Size-classed free list for oversized event captures and for coroutine
+// frames (one pool per Scheduler for the former, one per host thread for the
+// latter; see task.h). A pool is used only from one host thread; blocks are
+// returned to it when their event or frame is destroyed and reused by later
+// ones. Under AddressSanitizer a block is poisoned while it sits on the free
+// list, so touching a destroyed frame or event is still reported.
 class SlabPool {
  public:
   SlabPool() = default;
@@ -33,11 +45,12 @@ class SlabPool {
   SlabPool& operator=(const SlabPool&) = delete;
 
   ~SlabPool() {
-    for (FreeBlock*& head : free_) {
-      while (head != nullptr) {
-        FreeBlock* next = head->next;
-        ::operator delete(static_cast<void*>(head));
-        head = next;
+    for (int cls = 0; cls < kClasses; ++cls) {
+      while (free_[cls] != nullptr) {
+        FreeBlock* block = free_[cls];
+        ASAN_UNPOISON_MEMORY_REGION(block, ClassSize(cls));
+        free_[cls] = block->next;
+        ::operator delete(static_cast<void*>(block));
       }
     }
   }
@@ -49,12 +62,15 @@ class SlabPool {
     }
     if (free_[cls] != nullptr) {
       FreeBlock* block = free_[cls];
+      ASAN_UNPOISON_MEMORY_REGION(block, size < sizeof(FreeBlock) ? sizeof(FreeBlock) : size);
       free_[cls] = block->next;
       ++reused_;
       return block;
     }
     ++fresh_allocs_;
-    return ::operator new(ClassSize(cls));
+    void* block = ::operator new(ClassSize(cls));
+    ASAN_POISON_MEMORY_REGION(static_cast<char*>(block) + size, ClassSize(cls) - size);
+    return block;
   }
 
   void Free(void* ptr, size_t size) {
@@ -66,6 +82,7 @@ class SlabPool {
     auto* block = static_cast<FreeBlock*>(ptr);
     block->next = free_[cls];
     free_[cls] = block;
+    ASAN_POISON_MEMORY_REGION(block, ClassSize(cls));
   }
 
   // Observability for the allocation-free-hot-path tests and bench_engine.
@@ -78,21 +95,20 @@ class SlabPool {
   };
 
   // Classes 0..kClasses-1 hold blocks of 128 << class bytes (128B .. 16KB);
-  // anything larger goes straight to the global allocator (no event in the
-  // system is that big; this is a safety valve, not a hot path).
+  // anything larger goes straight to the global allocator (no event or
+  // coroutine frame in the system is that big; this is a safety valve, not a
+  // hot path).
   static constexpr int kClasses = 8;
   static constexpr size_t kMinBlock = 128;
 
   static constexpr size_t ClassSize(int cls) { return kMinBlock << cls; }
 
   static int ClassFor(size_t size) {
-    size_t block = kMinBlock;
-    for (int cls = 0; cls < kClasses; ++cls, block <<= 1) {
-      if (size <= block) {
-        return cls;
-      }
+    if (size <= kMinBlock) {
+      return 0;
     }
-    return -1;
+    const int cls = std::bit_width(size - 1) - std::bit_width(kMinBlock - 1);
+    return cls < kClasses ? cls : -1;
   }
 
   FreeBlock* free_[kClasses] = {};

@@ -7,9 +7,23 @@ namespace camelot {
 
 namespace {
 
+// The calling thread's coroutine frame pool. It is destroyed at thread exit,
+// before any static object; a frame freed after that (by a static object's
+// destructor) goes back to the global allocator.
+struct FramePool {
+  SlabPool pool;
+  ~FramePool();
+};
+thread_local bool frame_pool_gone = false;
+thread_local FramePool frame_pool;
+FramePool::~FramePool() { frame_pool_gone = true; }
+
 // A self-destroying wrapper that drives a detached root Async<void>.
 struct Detached {
   struct promise_type {
+    static void* operator new(size_t size) { return AllocateFrame(size); }
+    static void operator delete(void* frame, size_t size) { FreeFrame(frame, size); }
+
     Detached get_return_object() {
       return Detached{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
@@ -24,6 +38,18 @@ struct Detached {
 Detached RunDetached(Async<void> task) { co_await std::move(task); }
 
 }  // namespace
+
+void* AllocateFrame(size_t size) {
+  return frame_pool_gone ? ::operator new(size) : frame_pool.pool.Allocate(size);
+}
+
+void FreeFrame(void* frame, size_t size) {
+  if (frame_pool_gone) {
+    ::operator delete(frame);
+  } else {
+    frame_pool.pool.Free(frame, size);
+  }
+}
 
 Scheduler::Scheduler(uint64_t seed)
     : rng_(seed), bottom_(static_cast<size_t>(kWidth)) {}

@@ -5,11 +5,11 @@
 #define SRC_SIM_SYNC_H_
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "src/sim/channel.h"
+#include "src/sim/fifo.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
 
@@ -46,8 +46,7 @@ class SimMutex {
   void Unlock() {
     CAMELOT_CHECK(held_);
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
+      std::coroutine_handle<> h = waiters_.pop_front();
       sched_->Post(0, [h] { h.resume(); });
     } else {
       held_ = false;
@@ -60,7 +59,7 @@ class SimMutex {
  private:
   Scheduler* sched_;
   bool held_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 // Fork/join: run all tasks concurrently, return their results in input order.

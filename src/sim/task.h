@@ -5,12 +5,18 @@
 // Root tasks are launched with Scheduler::Spawn, which owns the frame and
 // frees it on completion.
 //
+// Frames come from a per-host-thread SlabPool (AllocateFrame / FreeFrame in
+// scheduler.cc), not from the global allocator: a simulation starts and
+// finishes a coroutine for nearly every message, lock and log force, and a
+// warm pool serves each of those frames without a malloc.
+//
 // The simulator is strictly single-threaded, so no synchronization appears
 // anywhere in this file.
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -19,6 +25,12 @@ namespace camelot {
 
 template <typename T>
 class Async;
+
+// Coroutine frame storage from the calling thread's frame pool. A frame may
+// be freed on another thread than the one that allocated it; it then joins
+// that thread's pool.
+void* AllocateFrame(size_t size);
+void FreeFrame(void* frame, size_t size);
 
 // Promise storage: value case and void case.
 template <typename T>
@@ -37,6 +49,9 @@ struct AsyncPromiseStorage<void> {
 template <typename T>
 struct AsyncPromise : AsyncPromiseStorage<T> {
   std::coroutine_handle<> continuation;
+
+  static void* operator new(size_t size) { return AllocateFrame(size); }
+  static void operator delete(void* frame, size_t size) { FreeFrame(frame, size); }
 
   Async<T> get_return_object();
 

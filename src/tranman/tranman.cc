@@ -147,11 +147,8 @@ void TranMan::RetireFamily(const FamilyId& id) {
   comman_.Forget(id);
 }
 
-Async<bool> TranMan::AtForcePoint(std::string point, uint32_t inc) {
-  if (!failpoints_.active()) {
-    co_return true;
-  }
-  const FailpointHit hit = failpoints_.Eval(point);
+Async<bool> TranMan::AtForcePoint(const char* point, const char* suffix, uint32_t inc) {
+  const FailpointHit hit = failpoints_.Eval(point, suffix);
   if (hit.action == FailpointAction::kDelay) {
     co_await site_.sched().Delay(hit.delay);
   }
@@ -190,7 +187,7 @@ ForceAttribution AttributeForce(std::string_view point) {
 Async<bool> TranMan::ForceAt(const char* point, const FamilyId& family, Lsn lsn,
                              bool hold_worker) {
   const uint32_t inc = site_.incarnation();
-  if (!co_await AtForcePoint(std::string(point) + ".before", inc)) {
+  if (failpoints_.active() && !co_await AtForcePoint(point, ".before", inc)) {
     co_return false;
   }
   if (hold_worker) {
@@ -203,7 +200,7 @@ Async<bool> TranMan::ForceAt(const char* point, const FamilyId& family, Lsn lsn,
   if (!durable) {
     co_return false;
   }
-  if (!co_await AtForcePoint(std::string(point) + ".after", inc)) {
+  if (failpoints_.active() && !co_await AtForcePoint(point, ".after", inc)) {
     co_return false;
   }
   if (!Dead(inc)) {
@@ -417,6 +414,9 @@ void TranMan::OnTopologyChange() {
 
 namespace {
 
+// The send gate's failpoints are "tm.send.<TYPE>" (TmMsgTypeName).
+constexpr const char* kSendPointPrefix = "tm.send.";
+
 Bytes EncodeBatch(const std::vector<TmMsg>& msgs) {
   ByteWriter w;
   w.U16(static_cast<uint16_t>(msgs.size()));
@@ -433,7 +433,7 @@ TranMan::SendGate TranMan::GateSend(TmMsgType type, Defer&& defer) {
   if (!failpoints_.active()) {
     return SendGate::kTransmit;
   }
-  const FailpointHit hit = failpoints_.Eval(std::string("tm.send.") + TmMsgTypeName(type));
+  const FailpointHit hit = failpoints_.Eval(kSendPointPrefix, TmMsgTypeName(type));
   if (!site_.up() || hit.action == FailpointAction::kDrop ||
       hit.action == FailpointAction::kError) {
     return SendGate::kLost;  // Crashed at the point, or the datagram is lost.
@@ -1988,9 +1988,11 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
       others.push_back(s);
     }
   }
-  const uint32_t n = static_cast<uint32_t>(fam->sites.size());
-  const uint32_t qc = fam->commit_quorum != 0 ? fam->commit_quorum : n / 2 + 1;
-  const uint32_t qa = fam->abort_quorum != 0 ? fam->abort_quorum : paxos ? qc : n + 1 - qc;
+  // A family that reaches a takeover holds the quorums its prepare, its
+  // replicate or its restored log record carried.
+  CAMELOT_CHECK(fam->commit_quorum != 0 && fam->abort_quorum != 0);
+  const uint32_t qc = fam->commit_quorum;
+  const uint32_t qa = fam->abort_quorum;
   // Acceptors: every participant for NBC (so every answer counts), the first
   // 2F+1 participants for Paxos.
   const std::vector<SiteId> paxos_acceptors = PaxosAcceptors(fam->sites, qc);

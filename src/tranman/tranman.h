@@ -36,6 +36,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/base/failpoint.h"
@@ -422,10 +423,11 @@ class TranMan {
   // False means a crash fired at the point and the caller must stop.
   bool Decide(Family* fam, TmDecision decision);
   bool Dead(uint32_t inc) const { return !site_.up() || site_.incarnation() != inc; }
-  // Evaluates a single "<point>.before"/".after" force failpoint; honors a
-  // delay inline. False means the caller must treat the force as failed
-  // (crash or error-return fired at the point).
-  Async<bool> AtForcePoint(std::string point, uint32_t inc);
+  // Evaluates the force failpoint `point` + `suffix` (".before" or ".after");
+  // honors a delay inline. False means the caller must treat the force as
+  // failed (crash or error-return fired at the point). ForceAt calls it only
+  // while failpoints are active.
+  Async<bool> AtForcePoint(const char* point, const char* suffix, uint32_t inc);
   // A protocol log force bracketed by "<point>.before" / "<point>.after"
   // failpoints; returns false (not durable) if a crash fired at either point.
   // With `hold_worker` the force is synchronous on a worker thread, which
@@ -458,7 +460,7 @@ class TranMan {
   std::vector<std::unique_ptr<Family>> graveyard_;
   // 2PC subordinates that voted read-only and forgot everything else; kept so
   // a retransmitted prepare gets a read-only vote again instead of an abort.
-  std::set<FamilyId> readonly_voted_;
+  std::unordered_set<FamilyId> readonly_voted_;
   // Ballot promises given to Paxos takeover reads for families this site has
   // never heard of (HandleStatusReq): "no accepted value" is only safe
   // testimony if ballot 0 can no longer act here, so the promise must outlive

@@ -26,7 +26,7 @@ Lsn StableLog::Append(const LogRecord& record) {
   frame.U32(static_cast<uint32_t>(payload.size()));
   frame.U32(Crc32(payload));
   frame.U32(Crc32(frame.bytes().data(), 8));
-  const Bytes& header = frame.bytes();
+  const std::span<const uint8_t> header = frame.bytes();
   tail_.insert(tail_.end(), header.begin(), header.end());
   tail_.insert(tail_.end(), payload.begin(), payload.end());
   ++counters_.appends;

@@ -100,6 +100,29 @@ TEST(CodecTest, Crc32DetectsBitFlips) {
   }
 }
 
+TEST(CodecTest, LongMessageOutgrowsTheInlineBufferIntact) {
+  Bytes blob(1000);
+  for (size_t i = 0; i < blob.size(); ++i) {
+    blob[i] = static_cast<uint8_t>(i * 7);
+  }
+  ByteWriter w;
+  w.U64(0x0102030405060708ull);
+  w.Blob(blob);
+  w.Str(std::string(300, 'q'));
+  w.U8(9);
+  const Bytes wire = w.Take();
+  EXPECT_EQ(wire.size(), 8u + 4 + 1000 + 4 + 300 + 1);
+  EXPECT_EQ(wire.capacity(), wire.size());
+  EXPECT_EQ(w.size(), 0u);
+  ByteReader r(wire);
+  EXPECT_EQ(r.U64(), 0x0102030405060708ull);
+  EXPECT_EQ(r.Blob(), blob);
+  EXPECT_EQ(r.Str(), std::string(300, 'q'));
+  EXPECT_EQ(r.U8(), 9);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
+}
+
 // Property: any sequence of write ops reads back identically.
 TEST(CodecTest, RandomizedRoundTripProperty) {
   Rng rng(11);

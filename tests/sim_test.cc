@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/sim/channel.h"
+#include "src/sim/fifo.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -288,6 +289,37 @@ Async<void> CriticalSection(Scheduler& sched, SimMutex& mu, int id, std::vector<
   co_await sched.Delay(Msec(10));
   order->push_back(id);
   mu.Unlock();
+}
+
+TEST(FifoTest, KeepsOrderAcrossInterleavedPushesPopsAndErases) {
+  Fifo<std::unique_ptr<int>> q;
+  std::vector<int> model;  // The expected contents, oldest first.
+  int next = 0;
+  for (int round = 0; round < 200; ++round) {
+    // Bursts of pushes and pops in varying proportion, so the popped prefix
+    // sometimes drains the queue and sometimes outgrows the live items.
+    for (int i = 0; i < round % 7; ++i) {
+      q.push_back(std::make_unique<int>(next));
+      model.push_back(next++);
+    }
+    for (int i = 0; i < round % 5 && !model.empty(); ++i) {
+      ASSERT_EQ(*q.front(), model.front());
+      EXPECT_EQ(*q.pop_front(), model.front());
+      model.erase(model.begin());
+    }
+    if (round % 11 == 0) {
+      q.erase_if([](const std::unique_ptr<int>& v) { return *v % 3 == 0; });
+      std::erase_if(model, [](int v) { return v % 3 == 0; });
+    }
+    ASSERT_EQ(q.size(), model.size());
+    std::vector<int> seen;
+    for (const auto& v : q) {
+      seen.push_back(*v);
+    }
+    ASSERT_EQ(seen, model);
+  }
+  q.clear();
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(SimMutexTest, MutualExclusionAndFifoFairness) {
