@@ -22,7 +22,6 @@ DataServer::DataServer(Site& site, std::string name, DiskManager& diskmgr, NameS
     families_.clear();
     locks_.Clear();
     concluded_.clear();
-    concluded_order_.clear();
   });
 }
 
@@ -124,15 +123,7 @@ Async<RpcResult> DataServer::Handle(RpcContext ctx, uint32_t method, Bytes body)
 
 bool DataServer::Concluded(const FamilyId& family) const { return concluded_.contains(family); }
 
-void DataServer::MarkConcluded(const FamilyId& family) {
-  if (concluded_.insert(family).second) {
-    concluded_order_.push_back(family);
-    while (concluded_order_.size() > 4096) {
-      concluded_.erase(concluded_order_.front());
-      concluded_order_.pop_front();
-    }
-  }
-}
+void DataServer::MarkConcluded(const FamilyId& family) { concluded_.insert(family); }
 
 Async<Status> DataServer::EnsureJoined(const Tid& tid) {
   FamilyState& fam = families_[tid.family];

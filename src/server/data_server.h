@@ -19,13 +19,12 @@
 #ifndef SRC_SERVER_DATA_SERVER_H_
 #define SRC_SERVER_DATA_SERVER_H_
 
-#include <deque>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/base/failpoint.h"
+#include "src/base/recent_families.h"
 #include "src/diskmgr/disk_manager.h"
 #include "src/ipc/name_service.h"
 #include "src/ipc/site.h"
@@ -127,8 +126,7 @@ class DataServer {
   ServerConfig config_;
   LockManager locks_;
   std::unordered_map<FamilyId, FamilyState> families_;
-  std::unordered_set<FamilyId> concluded_;
-  std::deque<FamilyId> concluded_order_;
+  RecentFamilies concluded_;
   ServerCounters counters_;
   Failpoints failpoints_;
   int inject_vote_no_ = 0;

@@ -6,12 +6,12 @@
 // continuations). At millions of events per simulated run that allocator
 // traffic dominates the engine's host-CPU profile.
 //
-// EventFn is a move-only callable with a large inline small-buffer (big enough
-// for every hot-path capture: coroutine resumes, channel wakeups, datagram
-// deliveries). Oversized captures fall back to a per-scheduler SlabPool — a
-// size-classed free list that recycles blocks instead of hitting the global
-// allocator — so the steady-state hot path performs zero heap allocations
-// either way.
+// EventFn is a callable with a large inline small-buffer (big enough for every
+// hot-path capture: coroutine resumes, channel wakeups, datagram deliveries),
+// built in place in the scheduler's queue node. Oversized captures fall back
+// to a per-scheduler SlabPool — a size-classed free list that recycles blocks
+// instead of hitting the global allocator — so the steady-state hot path
+// performs zero heap allocations either way.
 #ifndef SRC_SIM_EVENT_H_
 #define SRC_SIM_EVENT_H_
 
@@ -56,6 +56,7 @@ class SlabPool {
   }
 
   void* Allocate(size_t size) {
+    ++outstanding_;
     const int cls = ClassFor(size);
     if (cls < 0) {
       return ::operator new(size);
@@ -74,6 +75,7 @@ class SlabPool {
   }
 
   void Free(void* ptr, size_t size) {
+    --outstanding_;
     const int cls = ClassFor(size);
     if (cls < 0) {
       ::operator delete(ptr);
@@ -88,6 +90,8 @@ class SlabPool {
   // Observability for the allocation-free-hot-path tests and bench_engine.
   uint64_t fresh_allocs() const { return fresh_allocs_; }
   uint64_t reused() const { return reused_; }
+  // Blocks handed out and not yet freed.
+  uint64_t outstanding() const { return outstanding_; }
 
  private:
   struct FreeBlock {
@@ -114,152 +118,91 @@ class SlabPool {
   FreeBlock* free_[kClasses] = {};
   uint64_t fresh_allocs_ = 0;
   uint64_t reused_ = 0;
+  uint64_t outstanding_ = 0;
 };
 
-// A move-only callable for scheduler events. Callables up to kInlineCapacity
-// bytes live inline in the Event itself; larger ones are placed in a SlabPool
-// block. Invocation, move, and destruction all dispatch through one manager
-// function pointer instantiated per callable type.
+// A type-erased callable for one scheduler event. The scheduler constructs it
+// in place in a queue node and invokes and destroys it there, so it never
+// moves. Callables up to kInlineCapacity bytes live inline; larger ones are
+// placed in a SlabPool block. Invocation and destruction each dispatch
+// through one function pointer instantiated per callable type, and a
+// trivially destructible inline callable has no destructor to dispatch.
 class EventFn {
  public:
   // Large enough for every hot-path capture: a coroutine handle (8B), channel
   // waiter wakeups (~24B), and a full datagram delivery (this + Datagram with
-  // a shared body, ~40B). Event = EventFn + time + seq stays at 80 bytes.
+  // a shared body, ~40B). An EventFn is 80 bytes.
   static constexpr size_t kInlineCapacity = 56;
 
-  EventFn() = default;
+  // Whether a callable of type Fn is stored inline rather than in the pool.
+  template <typename Fn>
+  static constexpr bool kStoresInline =
+      sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(std::max_align_t);
 
-  template <typename F, typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventFn>>>
+  template <typename F>
   EventFn(F&& fn, SlabPool* pool) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>) {
-      // The dominant case (captures are pointers, handles, and ints): no
-      // manager at all — moves are raw byte copies and destruction is a
-      // no-op, which keeps heap sifts inside the queue's buckets cheap.
+    if constexpr (kStoresInline<Fn>) {
       ::new (static_cast<void*>(storage_.inline_bytes)) Fn(std::forward<F>(fn));
-      inline_invoke_ = &InvokeInline<Fn>;
-    } else if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                         alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(storage_.inline_bytes)) Fn(std::forward<F>(fn));
-      manager_ = &InlineManager<Fn>;
-      inline_invoke_ = &InvokeInline<Fn>;
+      invoke_ = &InvokeInline<Fn>;
+      if constexpr (!std::is_trivially_destructible_v<Fn>) {
+        destroy_ = &DestroyInline<Fn>;
+      }
     } else {
       void* block = pool->Allocate(sizeof(Fn));
       ::new (block) Fn(std::forward<F>(fn));
       storage_.heap.ptr = block;
-      storage_.heap.size = sizeof(Fn);
       storage_.heap.pool = pool;
-      manager_ = &HeapManager<Fn>;
+      invoke_ = &InvokeHeap<Fn>;
+      destroy_ = &DestroyHeap<Fn>;
     }
-  }
-
-  EventFn(EventFn&& other) noexcept { MoveFrom(std::move(other)); }
-
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      MoveFrom(std::move(other));
-    }
-    return *this;
   }
 
   EventFn(const EventFn&) = delete;
   EventFn& operator=(const EventFn&) = delete;
 
-  ~EventFn() { Reset(); }
-
-  explicit operator bool() const { return manager_ != nullptr || inline_invoke_ != nullptr; }
-
-  bool is_inline() const { return inline_invoke_ != nullptr; }
-
-  // The caller must move the Event out of any container before invoking: the
-  // callable may post new events and reallocate the container under itself.
-  void operator()() {
-    if (inline_invoke_ != nullptr) {
-      inline_invoke_(storage_.inline_bytes);
-    } else {
-      manager_(Op::kInvoke, this, nullptr);
+  ~EventFn() {
+    if (destroy_ != nullptr) {
+      destroy_(storage_);
     }
   }
+
+  void operator()() { invoke_(storage_); }
 
  private:
-  enum class Op { kInvoke, kMove, kDestroy };
-
-  using Manager = void (*)(Op, EventFn*, EventFn*);
-  using InlineInvoke = void (*)(void*);
-
-  template <typename Fn>
-  static void InlineManager(Op op, EventFn* self, EventFn* target) {
-    auto* fn = std::launder(reinterpret_cast<Fn*>(self->storage_.inline_bytes));
-    switch (op) {
-      case Op::kInvoke:
-        (*fn)();
-        break;
-      case Op::kMove:
-        ::new (static_cast<void*>(target->storage_.inline_bytes)) Fn(std::move(*fn));
-        fn->~Fn();
-        break;
-      case Op::kDestroy:
-        fn->~Fn();
-        break;
-    }
-  }
-
-  template <typename Fn>
-  static void HeapManager(Op op, EventFn* self, EventFn* target) {
-    auto* fn = std::launder(reinterpret_cast<Fn*>(self->storage_.heap.ptr));
-    switch (op) {
-      case Op::kInvoke:
-        (*fn)();
-        break;
-      case Op::kMove:
-        target->storage_.heap = self->storage_.heap;
-        break;
-      case Op::kDestroy:
-        fn->~Fn();
-        self->storage_.heap.pool->Free(self->storage_.heap.ptr, self->storage_.heap.size);
-        break;
-    }
-  }
-
-  template <typename Fn>
-  static void InvokeInline(void* bytes) {
-    (*std::launder(reinterpret_cast<Fn*>(bytes)))();
-  }
-
-  void MoveFrom(EventFn&& other) noexcept {
-    manager_ = other.manager_;
-    inline_invoke_ = other.inline_invoke_;
-    if (manager_ != nullptr) {
-      manager_(Op::kMove, &other, this);
-    } else if (inline_invoke_ != nullptr) {
-      storage_ = other.storage_;  // Trivial inline: a plain byte copy.
-    }
-    other.manager_ = nullptr;
-    other.inline_invoke_ = nullptr;
-  }
-
-  void Reset() {
-    if (manager_ != nullptr) {
-      manager_(Op::kDestroy, this, nullptr);
-      manager_ = nullptr;
-      inline_invoke_ = nullptr;
-    }
-  }
-
   union Storage {
     alignas(std::max_align_t) unsigned char inline_bytes[kInlineCapacity];
     struct {
       void* ptr;
-      size_t size;
       SlabPool* pool;
     } heap;
   };
 
+  template <typename Fn>
+  static Fn& InlineFn(Storage& s) {
+    return *std::launder(reinterpret_cast<Fn*>(s.inline_bytes));
+  }
+  template <typename Fn>
+  static void InvokeInline(Storage& s) {
+    InlineFn<Fn>(s)();
+  }
+  template <typename Fn>
+  static void DestroyInline(Storage& s) {
+    InlineFn<Fn>(s).~Fn();
+  }
+  template <typename Fn>
+  static void InvokeHeap(Storage& s) {
+    (*std::launder(static_cast<Fn*>(s.heap.ptr)))();
+  }
+  template <typename Fn>
+  static void DestroyHeap(Storage& s) {
+    std::launder(static_cast<Fn*>(s.heap.ptr))->~Fn();
+    s.heap.pool->Free(s.heap.ptr, sizeof(Fn));
+  }
+
   Storage storage_;
-  Manager manager_ = nullptr;
-  InlineInvoke inline_invoke_ = nullptr;
+  void (*invoke_)(Storage&) = nullptr;
+  void (*destroy_)(Storage&) = nullptr;
 };
 
 }  // namespace camelot

@@ -1,6 +1,7 @@
 #include "src/sim/scheduler.h"
 
 #include <algorithm>
+#include <new>
 #include <utility>
 
 namespace camelot {
@@ -51,8 +52,30 @@ void FreeFrame(void* frame, size_t size) {
   }
 }
 
-Scheduler::Scheduler(uint64_t seed)
-    : rng_(seed), bottom_(static_cast<size_t>(kWidth)) {}
+Scheduler::Scheduler(uint64_t seed) : rng_(seed) {}
+
+Scheduler::~Scheduler() {
+  const auto destroy = [](const Handle& h) { h.fn->~EventFn(); };
+  const auto drain = [&](HandleQueue& q) {
+    if (!q.empty()) {
+      Drain(q, destroy);
+    }
+  };
+  drain(ready_);
+  for (HandleQueue& slot : bottom_) {
+    drain(slot);
+  }
+  for (Rung* r : {&rung1_, &rung2_}) {
+    for (Bucket& b : r->buckets) {
+      drain(b.queue);
+    }
+  }
+  for (const Handle& h : overflow_) {
+    destroy(h);
+  }
+  // Every pooled capture belonged to a pending or finished event.
+  CAMELOT_CHECK(pool_.outstanding() == 0);
+}
 
 void Scheduler::Spawn(Async<void> task) {
   if (!task.valid()) {
@@ -62,89 +85,101 @@ void Scheduler::Spawn(Async<void> task) {
   Post(0, [h = d.handle] { h.resume(); });
 }
 
-void Scheduler::PushEvent(SimTime t, EventFn fn) {
-  CAMELOT_CHECK(t >= now_);
-  if (fn.is_inline()) {
-    ++inline_posts_;
-  } else {
-    ++pooled_posts_;
-  }
-  const uint64_t seq = next_seq_++;
-  ++size_;
-  if (t == now_) {
-    ready_.emplace_back(t, seq, std::move(fn));
-    return;
-  }
-  const SimTime off = t - ring_start_;
-  if (off < kWidth) {
-    // Current window: straight into the bottom rung. A direct post carries
-    // the largest seq so far, so a plain append keeps the slot FIFO-ordered.
-    Slot& s = bottom_[static_cast<size_t>(off)];
-    if (s.events.empty()) {
-      SetBit(bits_, static_cast<size_t>(off));
+void Scheduler::Append(HandleQueue& q, const Handle& h) {
+  Segment* tail = q.tail;
+  if (tail == nullptr || tail->end == kSegmentHandles) {
+    auto* seg = ::new (segments_.Take()) Segment;
+    if (tail == nullptr) {
+      q.head = seg;
+    } else {
+      tail->next = seg;
     }
-    s.events.emplace_back(t, seq, std::move(fn));
-    ++bottom_count_;
-  } else if (t - rung1_.start < kSpan1) {
-    RungAppend(rung1_, kShift0, Event(t, seq, std::move(fn)));
-  } else if (t - rung2_.start < kSpan2) {
-    RungAppend(rung2_, kShift1, Event(t, seq, std::move(fn)));
-  } else {
-    overflow_.emplace_back(t, seq, std::move(fn));
-    std::push_heap(overflow_.begin(), overflow_.end(), EventAfter{});
+    q.tail = tail = seg;
+  }
+  tail->handles[tail->end++] = h;
+}
+
+Scheduler::Handle Scheduler::PopFront(HandleQueue& q) {
+  Segment* head = q.head;
+  const Handle h = head->handles[head->begin++];
+  if (head->begin == head->end) {
+    q.head = head->next;
+    if (q.head == nullptr) {
+      q.tail = nullptr;
+    }
+    segments_.Give(head);
+  }
+  return h;
+}
+
+template <typename Sink>
+void Scheduler::Drain(HandleQueue& q, Sink sink) {
+  Segment* seg = q.head;
+  q.head = q.tail = nullptr;
+  while (seg != nullptr) {
+    for (uint32_t i = seg->begin; i < seg->end; ++i) {
+      sink(seg->handles[i]);
+    }
+    Segment* next = seg->next;
+    segments_.Give(seg);
+    seg = next;
   }
 }
 
-void Scheduler::RungAppend(Rung& r, int shift, Event ev) {
-  const size_t idx = static_cast<size_t>(ev.time >> shift) & kBucketMask;
-  Bucket& b = r.buckets[idx];
-  if (b.events.empty()) {
-    SetBit(r.bits, idx);
-    b.min_time = ev.time;
-  } else if (ev.time < b.min_time) {
-    b.min_time = ev.time;
+void Scheduler::Push(const Handle& h) {
+  ++size_;
+  if (h.time == now_) {
+    Append(ready_, h);
+    return;
   }
-  b.events.push_back(std::move(ev));
+  if (h.time - ring_start_ < kWidth) {
+    SlotAppend(h);
+  } else if (h.time - rung1_.start < kSpan1) {
+    RungAppend(rung1_, kShift0, h);
+  } else if (h.time - rung2_.start < kSpan2) {
+    RungAppend(rung2_, kShift1, h);
+  } else {
+    overflow_.push_back(h);
+    std::push_heap(overflow_.begin(), overflow_.end(), HandleAfter{});
+  }
+}
+
+void Scheduler::RungAppend(Rung& r, int shift, const Handle& h) {
+  const size_t idx = static_cast<size_t>(h.time >> shift) & kBucketMask;
+  Bucket& b = r.buckets[idx];
+  if (b.queue.empty()) {
+    r.bits.Set(idx);
+    b.min_time = h.time;
+  } else if (h.time < b.min_time) {
+    b.min_time = h.time;
+  }
+  Append(b.queue, h);
   ++r.count;
 }
 
-void Scheduler::SlotInsert(Event ev) {
-  const size_t off = static_cast<size_t>(ev.time - ring_start_);
-  Slot& s = bottom_[off];
-  if (s.events.empty()) {
-    SetBit(bits_, off);
+void Scheduler::SlotAppend(const Handle& h) {
+  const size_t off = static_cast<size_t>(h.time - ring_start_);
+  HandleQueue& slot = bottom_[off];
+  if (slot.empty()) {
+    bits_.Set(off);
+  } else {
+    // A direct post carries the largest seq so far, and a spread fills an
+    // empty bottom rung from a bucket whose equal-time handles are in seq
+    // order, so appending keeps every slot FIFO-ordered.
+    CAMELOT_CHECK(h.seq > slot.back().seq);
   }
-  // Spread and migrated events can carry smaller seqs than direct posts
-  // already in the slot; walk back to the FIFO position (usually the end).
-  auto pos = s.events.end();
-  while (pos != s.events.begin() + static_cast<ptrdiff_t>(s.head) &&
-         (pos - 1)->seq > ev.seq) {
-    --pos;
-  }
-  s.events.insert(pos, std::move(ev));
+  Append(slot, h);
   ++bottom_count_;
 }
 
-Scheduler::Event Scheduler::TakeFromSlot(size_t off) {
-  Slot& s = bottom_[off];
-  Event ev = std::move(s.events[s.head]);
-  ++s.head;
-  if (s.head == s.events.size()) {
-    s.events.clear();
-    s.head = 0;
-    ClearBit(bits_, off);
+Scheduler::Handle Scheduler::TakeFromSlot(size_t off) {
+  HandleQueue& slot = bottom_[off];
+  const Handle h = PopFront(slot);
+  if (slot.empty()) {
+    bits_.Clear(off);
   }
   --bottom_count_;
-  return ev;
-}
-
-size_t Scheduler::FindFirstBit(const uint64_t* bits, size_t from) {
-  size_t word = from >> 6;
-  uint64_t w = bits[word] & (~uint64_t{0} << (from & 63));
-  while (w == 0) {
-    w = bits[++word];
-  }
-  return (word << 6) + static_cast<size_t>(__builtin_ctzll(w));
+  return h;
 }
 
 void Scheduler::MigrateOverflow() {
@@ -153,39 +188,36 @@ void Scheduler::MigrateOverflow() {
   // cascaded further down by the spreads that follow.
   const SimTime limit = rung2_.start + kSpan2;
   while (!overflow_.empty() && overflow_.front().time < limit) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), EventAfter{});
-    Event ev = std::move(overflow_.back());
+    std::pop_heap(overflow_.begin(), overflow_.end(), HandleAfter{});
+    RungAppend(rung2_, kShift1, overflow_.back());
     overflow_.pop_back();
-    RungAppend(rung2_, kShift1, std::move(ev));
   }
 }
 
 void Scheduler::SpreadRung2Bucket(SimTime t) {
   const size_t idx = static_cast<size_t>(t >> kShift1) & kBucketMask;
   Bucket& b = rung2_.buckets[idx];
-  if (b.events.empty()) {
+  if (b.queue.empty()) {
     return;
   }
-  rung2_.count -= b.events.size();
-  ClearBit(rung2_.bits, idx);
-  for (Event& ev : b.events) {
-    RungAppend(rung1_, kShift0, std::move(ev));
-  }
-  b.events.clear();
+  rung2_.bits.Clear(idx);
+  Drain(b.queue, [this](const Handle& h) {
+    --rung2_.count;
+    RungAppend(rung1_, kShift0, h);
+  });
 }
 
 void Scheduler::SpreadRung1Bucket(SimTime t) {
   const size_t idx = static_cast<size_t>(t >> kShift0) & kBucketMask;
   Bucket& b = rung1_.buckets[idx];
-  if (b.events.empty()) {
+  if (b.queue.empty()) {
     return;
   }
-  rung1_.count -= b.events.size();
-  ClearBit(rung1_.bits, idx);
-  for (Event& ev : b.events) {
-    SlotInsert(std::move(ev));
-  }
-  b.events.clear();
+  rung1_.bits.Clear(idx);
+  Drain(b.queue, [this](const Handle& h) {
+    --rung1_.count;
+    SlotAppend(h);
+  });
 }
 
 void Scheduler::OpenWindow(SimTime t) {
@@ -209,7 +241,6 @@ void Scheduler::OpenWindow(SimTime t) {
     SpreadRung2Bucket(t);
   }
   ring_start_ = aligned0;
-  bottom_cursor_ = 0;
   SpreadRung1Bucket(t);
 }
 
@@ -218,69 +249,53 @@ void Scheduler::AdvanceTo(SimTime t) {
   OpenWindow(t);
 }
 
-Scheduler::Event Scheduler::PopMin() {
-  if (ready_head_ < ready_.size()) {
+Scheduler::Handle Scheduler::PopMin() {
+  if (!ready_.empty()) {
     // The minimum is at time now_. The only other place an event at now_ can
     // live is its bottom-rung slot (posted earlier, for what was then the
     // future) — it would carry a smaller seq than anything in ready_.
     const SimTime off = now_ - ring_start_;
     if (off < kWidth) {
-      Slot& s = bottom_[static_cast<size_t>(off)];
-      if (s.head < s.events.size() &&
-          s.events[s.head].seq < ready_[ready_head_].seq) {
+      const HandleQueue& slot = bottom_[static_cast<size_t>(off)];
+      if (!slot.empty() && slot.front().seq < ready_.front().seq) {
         return TakeFromSlot(static_cast<size_t>(off));
       }
     }
-    Event ev = std::move(ready_[ready_head_]);
-    ++ready_head_;
-    if (ready_head_ == ready_.size()) {
-      ready_.clear();
-      ready_head_ = 0;
-    }
-    return ev;
-  }
-  if (bottom_count_ > 0) {
-    const size_t off = FindFirstBit(bits_, bottom_cursor_);
-    bottom_cursor_ = off;
-    return TakeFromSlot(off);
-  }
-  if (rung1_.count == 0 && rung2_.count == 0) {
-    // All pending work is beyond the ladder; pull the next epoch's worth of
-    // overflow in. (Ladder events always precede overflow events — the time
-    // ranges are disjoint — so the rungs are checked first.)
-    CAMELOT_CHECK(!overflow_.empty());
-    OpenWindow(overflow_.front().time);
+    return PopFront(ready_);
   }
   if (bottom_count_ == 0) {
-    // The next event is in a future bucket: open that bucket's window, which
-    // cascades it down into the bottom rung. Epoch-aligned indexing means the
-    // first set bit is the earliest bucket — no wrap-around to reason about.
-    if (rung1_.count > 0) {
-      const size_t idx = FindFirstBit(rung1_.bits, 0);
-      OpenWindow(rung1_.buckets[idx].min_time);
-    } else {
-      const size_t idx = FindFirstBit(rung2_.bits, 0);
-      OpenWindow(rung2_.buckets[idx].min_time);
+    if (rung1_.count == 0 && rung2_.count == 0) {
+      // All pending work is beyond the ladder; pull the next epoch's worth of
+      // overflow in. (Ladder events always precede overflow events — the time
+      // ranges are disjoint — so the rungs are checked first.)
+      CAMELOT_CHECK(!overflow_.empty());
+      OpenWindow(overflow_.front().time);
     }
+    if (bottom_count_ == 0) {
+      // The next event is in a future bucket: open that bucket's window, which
+      // cascades it down into the bottom rung. Epoch-aligned indexing means
+      // the first set bit is the earliest bucket — no wrap-around to reason
+      // about.
+      const Rung& r = rung1_.count > 0 ? rung1_ : rung2_;
+      OpenWindow(r.buckets[r.bits.First()].min_time);
+    }
+    CAMELOT_CHECK(bottom_count_ > 0);
   }
-  CAMELOT_CHECK(bottom_count_ > 0);
-  const size_t off = FindFirstBit(bits_, bottom_cursor_);
-  bottom_cursor_ = off;
-  return TakeFromSlot(off);
+  return TakeFromSlot(bits_.First());
 }
 
 SimTime Scheduler::PeekMinTime() const {
-  if (ready_head_ < ready_.size()) {
+  if (!ready_.empty()) {
     return now_;
   }
   if (bottom_count_ > 0) {
-    return ring_start_ + static_cast<SimTime>(FindFirstBit(bits_, bottom_cursor_));
+    return ring_start_ + static_cast<SimTime>(bits_.First());
   }
   if (rung1_.count > 0) {
-    return rung1_.buckets[FindFirstBit(rung1_.bits, 0)].min_time;
+    return rung1_.buckets[rung1_.bits.First()].min_time;
   }
   if (rung2_.count > 0) {
-    return rung2_.buckets[FindFirstBit(rung2_.bits, 0)].min_time;
+    return rung2_.buckets[rung2_.bits.First()].min_time;
   }
   CAMELOT_CHECK(!overflow_.empty());
   return overflow_.front().time;
@@ -290,13 +305,16 @@ bool Scheduler::PopAndRun() {
   if (size_ == 0) {
     return false;
   }
-  Event ev = PopMin();
+  const Handle h = PopMin();
   --size_;
-  CAMELOT_CHECK(ev.time >= now_);
-  if (ev.time != now_) {
-    AdvanceTo(ev.time);
+  CAMELOT_CHECK(h.time >= now_);
+  if (h.time != now_) {
+    AdvanceTo(h.time);
   }
-  ev.fn();
+  // The node stays put while it runs, whatever the callable posts.
+  (*h.fn)();
+  h.fn->~EventFn();
+  nodes_.Give(h.fn);
   return true;
 }
 

@@ -36,10 +36,10 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/base/failpoint.h"
+#include "src/base/recent_families.h"
 #include "src/comman/comman.h"
 #include "src/ipc/site.h"
 #include "src/net/network.h"
@@ -183,6 +183,7 @@ class TranMan {
   WorkerPool& pool() { return pool_; }
   TranManConfig& config() { return config_; }
   size_t live_family_count() const;
+  size_t readonly_voted_count() const { return readonly_voted_.size(); }
 
  private:
   struct Family {
@@ -458,9 +459,10 @@ class TranMan {
   uint64_t next_family_seq_ = 1;
   std::unordered_map<FamilyId, std::unique_ptr<Family>> families_;
   std::vector<std::unique_ptr<Family>> graveyard_;
-  // 2PC subordinates that voted read-only and forgot everything else; kept so
-  // a retransmitted prepare gets a read-only vote again instead of an abort.
-  std::unordered_set<FamilyId> readonly_voted_;
+  // Families this site voted read-only on and forgot everything else about
+  // (the newest RecentFamilies::kCapacity); kept so a retransmitted prepare
+  // gets a read-only vote again instead of an abort.
+  RecentFamilies readonly_voted_;
   // Ballot promises given to Paxos takeover reads for families this site has
   // never heard of (HandleStatusReq): "no accepted value" is only safe
   // testimony if ballot 0 can no longer act here, so the promise must outlive

@@ -105,6 +105,45 @@ TEST(AllocationPin, WarmCoroutineFrameIsReused) {
   EXPECT_EQ(news, 0u);
 }
 
+// One step of a chain that keeps a single event pending: mostly a few
+// microseconds ahead, so successive steps cover every bottom-window slot,
+// with every 50th step a rung-1 bucket away and every 500th a rung-2 bucket.
+struct ChainStep {
+  Scheduler* sched;
+  int* left;
+  SimTime* last;
+  int* distinct;
+
+  void operator()() const {
+    *distinct += sched->now() != *last ? 1 : 0;
+    *last = sched->now();
+    if (--*left == 0) {
+      return;
+    }
+    const SimDuration delay = *left % 500 == 0 ? Sec(2) : *left % 50 == 0 ? Msec(3) : 1 + *left % 7;
+    sched->Post(delay, *this);
+  }
+};
+
+TEST(AllocationPin, FreshSchedulerRecyclesItsNodesAndSegments) {
+  int left = 3000;
+  SimTime last = -1;
+  int distinct = 0;
+  const uint64_t news = News([&] {
+    Scheduler sched(1);
+    sched.Post(1, ChainStep{&sched, &left, &last, &distinct});
+    sched.RunUntilIdle();
+  });
+  std::printf("fresh scheduler chain: %llu over %d distinct microseconds\n",
+              static_cast<unsigned long long>(news), distinct);
+  EXPECT_EQ(left, 0);
+  EXPECT_GE(distinct, 2000);
+  // One chunk of event nodes and one of handle segments, both recycled from
+  // then on. A queue that grew a vector per slot and bucket made a call for
+  // every one it touched.
+  EXPECT_EQ(news, 2u);
+}
+
 TEST(AllocationPin, IdleChannelAllocatesNothing) {
   Scheduler sched(1);
   const uint64_t news = News([&] {
@@ -220,8 +259,9 @@ TEST(AllocationPin, FailpointsAddNoAllocationToACommit) {
   EXPECT_EQ(active.force_point_hits, 3u);
   EXPECT_EQ(active.news, inactive.news);
   // Before frames were pooled and the force points gated on active(), this
-  // commit made 166 calls, two of them for the names of its one force point.
-  EXPECT_LE(inactive.news, 66u);
+  // commit made 166 calls, two of them for the names of its one force point;
+  // before event nodes and handle segments were pooled, 66.
+  EXPECT_LE(inactive.news, 41u);
 }
 
 TEST(AllocationPin, NonBlockingTransferScriptStaysWithinItsCount) {
@@ -239,8 +279,10 @@ TEST(AllocationPin, NonBlockingTransferScriptStaysWithinItsCount) {
               static_cast<unsigned long long>(per_transfer));
   // World build and audit included. Before frames were pooled, the queues
   // lost std::deque, encodes went to one allocation and failpoints to none,
-  // the script made 17,667 calls (883 per transfer); it now makes 7,678.
-  constexpr uint64_t kPerTransfer = 383;
+  // the script made 17,667 calls (883 per transfer). While the scheduler
+  // grew a vector per slot and bucket it made 7,678 (383 per transfer); with
+  // pooled event nodes and handle segments it makes 6,181.
+  constexpr uint64_t kPerTransfer = 309;
   EXPECT_LE(per_transfer, kPerTransfer + kPerTransfer / 10);
 }
 

@@ -4,6 +4,7 @@
 // including the equal-time FIFO tie-break, ring/overflow window crossings,
 // and PostAt-in-the-past rejection.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -141,6 +142,61 @@ TEST(SchedDeterminismTest, EqualTimeFifoAcrossTiers) {
   const std::vector<int> expect = {1, 0, 2, 3, 4};
   EXPECT_EQ(run(ladder), expect);
   EXPECT_EQ(run(heap), expect);
+}
+
+// One microsecond that holds more events than a handle segment (20 handles),
+// reached by every route into its bottom slot: a batch posted at time 0
+// waits in the overflow heap and migrates into rung 2; one posted early in
+// the instant's rung-2 epoch is spread from rung 2; one posted early in its
+// rung-1 epoch is spread from rung 1; one posted inside its bottom window
+// lands in the slot directly. Each batch spans several segments on its own.
+// While the instant drains, events post delay-0 children into the ready
+// list, and some children post again, so that list spans segments too.
+template <typename Sched>
+Trace CrowdedInstant() {
+  constexpr SimTime kEpoch2 = SimTime{3} << 30;             // The instant's rung-2 epoch,
+  constexpr SimTime kEpoch1 = kEpoch2 + (SimTime{5} << 20);  // its rung-1 epoch
+  constexpr SimTime kWindow = kEpoch1 + (SimTime{7} << 10);  // and its bottom window.
+  constexpr SimTime kInstant = kWindow + 3;
+  constexpr int kBatch = 45;
+  Sched sched(1);
+  Trace trace;
+  int labels = 0;
+  std::function<void(int)> child = [&](int label) {
+    trace.emplace_back(sched.now(), label);
+    if (label % 3 == 0) {
+      sched.Post(0, [&child, id = labels++] { child(id); });
+    }
+  };
+  const auto batch = [&] {
+    sched.PostAt(kInstant - 1, [&, id = labels++] { trace.emplace_back(sched.now(), id); });
+    for (int i = 0; i < kBatch; ++i) {
+      sched.PostAt(kInstant, [&, id = labels++] {
+        trace.emplace_back(sched.now(), id);
+        if (id % 2 == 0) {
+          sched.Post(0, [&child, cid = labels++] { child(cid); });
+        }
+      });
+    }
+    sched.PostAt(kInstant + 1, [&, id = labels++] { trace.emplace_back(sched.now(), id); });
+  };
+  batch();                                                  // Overflow, then rung 2.
+  sched.PostAt(kEpoch2 + (SimTime{1} << 20) + 17, batch);   // Rung 2.
+  sched.PostAt(kEpoch1 + (SimTime{2} << 10) + 5, batch);    // Rung 1.
+  sched.PostAt(kInstant - 2, batch);                        // The bottom slot.
+  sched.RunUntilIdle();
+  EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_EQ(std::count_if(trace.begin(), trace.end(),
+                          [](const auto& e) { return e.first == kInstant; }),
+            4 * kBatch + labels - 4 * (kBatch + 2));
+  return trace;
+}
+
+TEST(SchedDeterminismTest, CrowdedInstantMatchesLegacyHeapAcrossSegments) {
+  const Trace ladder = CrowdedInstant<Scheduler>();
+  const Trace heap = CrowdedInstant<LegacyHeapScheduler>();
+  ASSERT_EQ(ladder.size(), heap.size());
+  EXPECT_EQ(ladder, heap);
 }
 
 TEST(SchedDeterminismDeathTest, PostAtInThePastRejected) {

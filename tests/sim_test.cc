@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/channel.h"
@@ -404,6 +405,56 @@ TEST(EventStorageTest, MoveOnlyCapturesSupported) {
   sched.Post(Usec(1), [p = std::move(owned), &seen] { seen = *p + 1; });
   sched.RunUntilIdle();
   EXPECT_EQ(seen, 42);
+}
+
+// Destroying a scheduler with events still pending on every tier (ready
+// list, bottom slot, both rungs, overflow heap; more than a handle segment
+// on each) destroys each pending capture exactly once without running it.
+// Its destructor also checks that every pooled capture's slab block came
+// back to the pool.
+TEST(EventStorageTest, DestructionDestroysEachPendingCaptureOnce) {
+  // Counts its own destruction; a moved-from Counted counts nothing.
+  struct Counted {
+    int* destroyed;
+    explicit Counted(int* d) : destroyed(d) {}
+    Counted(Counted&& other) noexcept : destroyed(std::exchange(other.destroyed, nullptr)) {}
+    Counted& operator=(Counted&&) = delete;
+    ~Counted() {
+      if (destroyed != nullptr) {
+        ++*destroyed;
+      }
+    }
+  };
+  struct Big {
+    char payload[200] = {};
+  };
+  constexpr SimDuration kTierDelays[] = {0, 7, Msec(5), Sec(3), Sec(5000)};
+  constexpr int kPerTier = 25;
+  constexpr int kEach = kPerTier * static_cast<int>(std::size(kTierDelays));
+  int ran = 0;
+  int inline_destroyed = 0;
+  int pooled_destroyed = 0;
+  {
+    Scheduler sched;
+    for (SimDuration delay : kTierDelays) {
+      for (int i = 0; i < kPerTier; ++i) {
+        sched.Post(delay, [&ran] { ++ran; });
+        sched.Post(delay, [c = Counted(&inline_destroyed), &ran] { ++ran; });
+        sched.Post(delay, [c = Counted(&pooled_destroyed), big = Big{}, &ran] {
+          ran += big.payload[0] + 1;
+        });
+      }
+    }
+    EXPECT_EQ(sched.pending_events(), static_cast<size_t>(3 * kEach));
+    EXPECT_EQ(sched.inline_posts(), static_cast<uint64_t>(2 * kEach));
+    EXPECT_EQ(sched.pooled_posts(), static_cast<uint64_t>(kEach));
+    EXPECT_EQ(sched.slab_pool().outstanding(), static_cast<uint64_t>(kEach));
+    EXPECT_EQ(inline_destroyed, 0);
+    EXPECT_EQ(pooled_destroyed, 0);
+  }
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(inline_destroyed, kEach);
+  EXPECT_EQ(pooled_destroyed, kEach);
 }
 
 TEST(RngTest, DeterministicAcrossRuns) {

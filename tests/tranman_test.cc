@@ -5,8 +5,12 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
+#include "src/base/codec.h"
+#include "src/base/recent_families.h"
 #include "src/harness/world.h"
+#include "src/tranman/messages.h"
 
 namespace camelot {
 namespace {
@@ -233,6 +237,77 @@ TEST(TranManTest, ReadOnlySubordinateWritesNoLogRecords) {
   EXPECT_EQ(rig.world.site(1).log().counters().appends, 0u);
   EXPECT_EQ(rig.world.site(1).tranman().counters().read_only_votes, 1u);
   EXPECT_EQ(rig.server(1)->locks().held_lock_count(), 0u);
+}
+
+// A 2PC subordinate remembers the families it voted read-only on so that a
+// retransmitted PREPARE gets the same vote, but only the newest
+// RecentFamilies::kCapacity of them: after 5,000 read-only votes it holds
+// 4,096, re-votes read-only for a recent family, and votes abort for one it
+// has forgotten.
+TEST(TranManTest, ReadOnlyVoteMemoryIsBoundedAndRecentVotesRepeat) {
+  constexpr int kTxns = 5000;
+  Rig rig(QuietConfig(2));
+  std::vector<Tid> tids;
+  auto status = rig.world.RunSync([](AppClient& app, std::vector<Tid>* out) -> Async<Status> {
+    for (int i = 0; i < kTxns; ++i) {
+      auto begin = co_await app.Begin();
+      if (!begin.ok()) {
+        co_return begin.status();
+      }
+      Status written = co_await app.WriteInt(*begin, Rig::ServerName(0), "acct", i);
+      if (!written.ok()) {
+        co_return written;
+      }
+      auto remote = co_await app.ReadInt(*begin, Rig::ServerName(1), "acct");
+      if (!remote.ok()) {
+        co_return remote.status();
+      }
+      Status committed = co_await app.Commit(*begin);
+      if (!committed.ok()) {
+        co_return committed;
+      }
+      out->push_back(*begin);
+    }
+    co_return OkStatus();
+  }(rig.app, &tids));
+  ASSERT_TRUE(status.has_value());
+  ASSERT_TRUE(status->ok()) << status->ToString();
+  TranMan& sub = rig.world.site(1).tranman();
+  EXPECT_EQ(sub.counters().read_only_votes, static_cast<uint64_t>(kTxns));
+  EXPECT_EQ(sub.readonly_voted_count(), RecentFamilies::kCapacity);
+
+  // Stand in for the coordinator: take over site 0's datagrams and send site
+  // 1 a PREPARE again for the newest family and for the oldest.
+  std::vector<TmMsg> votes;
+  rig.world.net().Bind(SiteId{0}, kTranManService, [&votes](Datagram dg) {
+    ByteReader r(dg.body);
+    const uint16_t count = r.U16();
+    for (uint16_t i = 0; i < count && r.ok(); ++i) {
+      auto msg = TmMsg::Decode(r.Blob());
+      if (msg.ok() && msg->type == TmMsgType::kVote) {
+        votes.push_back(*msg);
+      }
+    }
+  });
+  for (const Tid& tid : {tids.back(), tids.front()}) {
+    TmMsg prepare;
+    prepare.type = TmMsgType::kPrepare;
+    prepare.tid = tid;
+    prepare.from = SiteId{0};
+    prepare.sites = {SiteId{0}, SiteId{1}};
+    ByteWriter w;
+    w.U16(1);
+    w.Blob(prepare.Encode());
+    rig.world.net().Send(Datagram{SiteId{0}, SiteId{1}, kTranManService,
+                                  static_cast<uint32_t>(TmMsgType::kPrepare), w.Take()});
+    rig.world.RunUntilIdle();
+  }
+  ASSERT_EQ(votes.size(), 2u);
+  EXPECT_EQ(votes[0].tid, tids.back());
+  EXPECT_EQ(votes[0].vote, TmVote::kReadOnly);
+  EXPECT_EQ(votes[1].tid, tids.front());
+  EXPECT_EQ(votes[1].vote, TmVote::kAbort);
+  EXPECT_EQ(sub.readonly_voted_count(), RecentFamilies::kCapacity);
 }
 
 TEST(TranManTest, EntirelyReadOnlyDistributedTxnNeedsNoLogAnywhere) {
